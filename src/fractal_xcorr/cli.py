@@ -14,9 +14,8 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .benchmark import BenchmarkConfig, run_benchmark
@@ -33,6 +32,13 @@ EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 DEFAULT_SCALES = "log:20:3162:10"
 SEED_ENV_VAR = "FRACTAL_XCORR_SEED"
+
+
+def _parse_list(text: str, flag: str, kind) -> tuple:
+    try:
+        return tuple(kind(t) for t in text.split(","))
+    except ValueError:
+        raise InputError(f"{flag}: bad value list {text!r}") from None
 
 
 def _parse_scales(text: str) -> tuple:
@@ -69,8 +75,18 @@ def _file_digest(path) -> str:
     return h.hexdigest()
 
 
+def _path(args, name: str) -> Path:
+    """Path argument ``name`` of the invocation; a rerun resolves it against
+    the working directory of the original run."""
+    return Path(args.cwd or "", getattr(args, name))
+
+
+def _input_digests(args, *names) -> dict:
+    return {getattr(args, n): _file_digest(_path(args, n)) for n in names}
+
+
 def _write_manifest(out_dir: Path, subcommand: str, config: dict, seed: int,
-                    inputs: dict, argv: list) -> tuple:
+                    inputs: dict, argv: list, cwd) -> tuple:
     manifest = {
         "subcommand": subcommand,
         "config": config,
@@ -78,6 +94,7 @@ def _write_manifest(out_dir: Path, subcommand: str, config: dict, seed: int,
         "tool_version": __version__,
         "input_digests": inputs,
         "argv": argv,
+        "cwd": cwd or os.getcwd(),
     }
     text = json.dumps(manifest, indent=2, sort_keys=True)
     digest = hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -103,8 +120,8 @@ def _write_json(path: Path, digest: str, payload):
 
 
 def _load_pair(args) -> AlignedPair:
-    x = load_csv(args.x_csv, args.column)
-    y = load_csv(args.y_csv, args.column)
+    x = load_csv(_path(args, "x_csv"), args.column)
+    y = load_csv(_path(args, "y_csv"), args.column)
     if args.returns == "log":
         x, y = log_returns(x), log_returns(y)
     return AlignedPair(x, y)
@@ -207,7 +224,7 @@ def _detrend_configs(args, n: int):
 
 
 def cmd_analyze(args, argv) -> int:
-    out_dir = Path(args.out_dir)
+    out_dir = _path(args, "out_dir")
     out_dir.mkdir(parents=True, exist_ok=True)
     pair = _load_pair(args)
     configs = _detrend_configs(args, len(pair))
@@ -215,10 +232,11 @@ def cmd_analyze(args, argv) -> int:
     for cfg in configs:
         profile = correlation_profile(pair, cfg, method=args.method)
         rows.extend(profile.to_records())
-    inputs = {args.x_csv: _file_digest(args.x_csv), args.y_csv: _file_digest(args.y_csv)}
+    inputs = _input_digests(args, "x_csv", "y_csv")
     config = {"method": args.method, "theta": args.theta, "returns": args.returns,
               "qs": [c.q for c in configs], "scales": list(configs[0].scale_grid)}
-    _, digest = _write_manifest(out_dir, "analyze", config, _resolve_seed(args), inputs, argv)
+    _, digest = _write_manifest(out_dir, "analyze", config, _resolve_seed(args), inputs,
+                                argv, args.cwd)
     if args.format in ("csv", "both"):
         _write_csv(out_dir / "correlation_profile.csv", digest,
                    ["scale", "q", "method", "rho", "capped"], rows)
@@ -230,19 +248,39 @@ def cmd_analyze(args, argv) -> int:
     return EXIT_OK
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except FileNotFoundError:
+        raise InputError(f"no such file: {path}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputError(f"{path}: invalid JSON ({exc})") from None
+
+
+def _read_spec(path: Path) -> McArfimaSpec:
+    data = _read_json(path)
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: spec must be a JSON object")
+    unknown = sorted(set(data) - {f.name for f in fields(McArfimaSpec)})
+    if unknown:
+        raise InputError(f"{path}: unknown spec key(s): {', '.join(unknown)}")
+    return McArfimaSpec(**data)
+
+
 def cmd_simulate(args, argv) -> int:
-    out_dir = Path(args.out_dir)
+    out_dir = _path(args, "out_dir")
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = _resolve_seed(args)
     if args.spec_json:
-        spec = McArfimaSpec(**json.loads(Path(args.spec_json).read_text()))
+        spec = _read_spec(_path(args, "spec_json"))
     else:
         spec = McArfimaSpec(d1=args.d1, d2=args.d2, d3=args.d3, d4=args.d4,
                             cross_corr=args.cross_corr, length=args.length,
                             truncation=args.truncation, seed=seed)
     sample = generate(spec)
-    inputs = {args.spec_json: _file_digest(args.spec_json)} if args.spec_json else {}
-    _, digest = _write_manifest(out_dir, "simulate", spec.to_dict(), spec.seed, inputs, argv)
+    inputs = _input_digests(args, "spec_json") if args.spec_json else {}
+    _, digest = _write_manifest(out_dir, "simulate", spec.to_dict(), spec.seed, inputs, argv,
+                                args.cwd)
     for name, series in (("x", sample.x), ("y", sample.y)):
         path = out_dir / f"simulated_{name}.csv"
         with open(path, "w", newline="") as fh:
@@ -274,23 +312,23 @@ def _benchmark_table_rows(reports, method: str, q: float, cross_corrs):
 
 
 def cmd_benchmark(args, argv) -> int:
-    out_dir = Path(args.out_dir)
+    out_dir = _path(args, "out_dir")
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = _resolve_seed(args)
-    cross_corrs = tuple(float(t) for t in args.cross_corrs.split(","))
+    cross_corrs = _parse_list(args.cross_corrs, "--cross-corrs", float)
     cfg = BenchmarkConfig(
-        lengths=tuple(int(t) for t in args.lengths.split(",")),
+        lengths=_parse_list(args.lengths, "--lengths", int),
         cross_corrs=cross_corrs,
         qs=tuple(args.q) if args.q else (2.0, 4.0),
         replications=args.reps,
-        dcca_n_min=tuple(int(t) for t in args.n_min.split(",")),
-        dmca_s_max=tuple(int(t) for t in args.s_max.split(",")),
+        dcca_n_min=_parse_list(args.n_min, "--n-min", int),
+        dmca_s_max=_parse_list(args.s_max, "--s-max", int),
         master_seed=seed,
         theta=args.theta,
     )
     config = {k: list(v) if isinstance(v, tuple) else v
               for k, v in vars(cfg).items()}
-    _, digest = _write_manifest(out_dir, "benchmark", config, seed, {}, argv)
+    _, digest = _write_manifest(out_dir, "benchmark", config, seed, {}, argv, args.cwd)
 
     def progress(rep):
         print(f"{rep.method} q={rep.q:g} N={rep.length} rho={rep.cross_corr:g} "
@@ -312,7 +350,9 @@ def cmd_benchmark(args, argv) -> int:
 
 
 def cmd_test(args, argv) -> int:
-    out_dir = Path(args.out_dir)
+    if not 0.0 < args.alpha < 1.0:
+        raise InputError(f"--alpha {args.alpha} outside (0, 1)")
+    out_dir = _path(args, "out_dir")
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = _resolve_seed(args)
     pair = _load_pair(args)
@@ -329,11 +369,11 @@ def cmd_test(args, argv) -> int:
             })
             print(f"q={rep.q:g} s={rep.scale:>5d}  rho={rep.observed_rho:+.4f}"
                   f"{stars(rep.p_value):<3} p={rep.p_value:.3f}  {label}")
-    inputs = {args.x_csv: _file_digest(args.x_csv), args.y_csv: _file_digest(args.y_csv)}
+    inputs = _input_digests(args, "x_csv", "y_csv")
     config = {"theta": args.theta, "returns": args.returns, "alpha": args.alpha,
               "n_surrogates": args.surrogates, "qs": [c.q for c in configs],
               "scales": list(configs[0].scale_grid)}
-    _, digest = _write_manifest(out_dir, "test", config, seed, inputs, argv)
+    _, digest = _write_manifest(out_dir, "test", config, seed, inputs, argv, args.cwd)
     if args.format in ("csv", "both"):
         _write_csv(out_dir / "surrogate_test.csv", digest,
                    ["scale", "q", "statistic", "stars", "p_value", "classification"], rows)
@@ -343,15 +383,16 @@ def cmd_test(args, argv) -> int:
 
 
 def cmd_portfolio(args, argv) -> int:
-    out_dir = Path(args.out_dir)
+    out_dir = _path(args, "out_dir")
     out_dir.mkdir(parents=True, exist_ok=True)
     pair = _load_pair(args)
     configs = _detrend_configs(args, len(pair))
     metrics = portfolio_scan(pair, configs[0], qs=[c.q for c in configs])
-    inputs = {args.x_csv: _file_digest(args.x_csv), args.y_csv: _file_digest(args.y_csv)}
+    inputs = _input_digests(args, "x_csv", "y_csv")
     config = {"theta": args.theta, "returns": args.returns,
               "qs": [c.q for c in configs], "scales": list(configs[0].scale_grid)}
-    _, digest = _write_manifest(out_dir, "portfolio", config, _resolve_seed(args), inputs, argv)
+    _, digest = _write_manifest(out_dir, "portfolio", config, _resolve_seed(args), inputs,
+                                argv, args.cwd)
     if args.format in ("json", "both"):
         _write_json(out_dir / "portfolio.json", digest, [m.to_dict() for m in metrics])
     if args.format in ("csv", "both"):
@@ -371,26 +412,28 @@ def cmd_portfolio(args, argv) -> int:
 
 
 def cmd_describe(args, argv) -> int:
-    out_dir = Path(args.out_dir)
+    out_dir = _path(args, "out_dir")
     out_dir.mkdir(parents=True, exist_ok=True)
-    series = load_csv(args.x_csv, args.column)
+    series = load_csv(_path(args, "x_csv"), args.column)
     if args.returns == "log":
         series = log_returns(series)
     result = describe(series).to_dict()
-    inputs = {args.x_csv: _file_digest(args.x_csv)}
+    inputs = _input_digests(args, "x_csv")
     config = {"returns": args.returns, "column": args.column}
-    _, digest = _write_manifest(out_dir, "describe", config, _resolve_seed(args), inputs, argv)
+    _, digest = _write_manifest(out_dir, "describe", config, _resolve_seed(args), inputs,
+                                argv, args.cwd)
     _write_json(out_dir / "describe.json", digest, result)
     print(json.dumps(result, indent=2))
     return EXIT_OK
 
 
 def cmd_rerun(args, _argv) -> int:
-    manifest = json.loads(Path(args.manifest).read_text())
-    stored = manifest.get("argv")
+    manifest = _read_json(_path(args, "manifest"))
+    stored = manifest.get("argv") if isinstance(manifest, dict) else None
     if not stored:
         raise InputError(f"{args.manifest}: manifest carries no argv to re-run")
-    return _dispatch(stored)
+    # No os.chdir: main() also runs in-process, inside the caller's cwd.
+    return _dispatch(stored, cwd=manifest.get("cwd"))
 
 
 _HANDLERS = {
@@ -404,8 +447,9 @@ _HANDLERS = {
 }
 
 
-def _dispatch(argv) -> int:
+def _dispatch(argv, cwd=None) -> int:
     args = build_parser().parse_args(argv)
+    args.cwd = cwd
     return _HANDLERS[args.command](args, list(argv))
 
 

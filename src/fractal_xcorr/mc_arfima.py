@@ -9,10 +9,9 @@ H_x = d1 + 0.5, H_y = d4 + 0.5 and H_xy = 0.5 + (d2 + d3)/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import InputError
 from .series import TimeSeries
@@ -117,6 +116,30 @@ def correlated_innovations(spec: McArfimaSpec, t: int, rng=None) -> np.ndarray:
     return eps * np.asarray(spec.innovation_sd)[:, None]
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: scipy.fft.next_fast_len(n, real=True)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real sequences, computed as
+    scipy.signal.fftconvolve computes it: real FFTs at a 5-smooth length."""
+    n = a.size + b.size - 1
+    m = _next_fast_len(n)
+    return np.fft.irfft(np.fft.rfft(a, m) * np.fft.rfft(b, m), m)[:n]
+
+
 def generate(spec: McArfimaSpec) -> BivariateSample:
     """Draw one bivariate sample; deterministic given spec.seed.
 
@@ -132,10 +155,10 @@ def generate(spec: McArfimaSpec) -> BivariateSample:
     w3 = arfima_weights(spec.d3, n_max)
     w4 = arfima_weights(spec.d4, n_max)
     sl = slice(n_max, n_max + spec.length)
-    x = (spec.alpha * fftconvolve(eps[0], w1, mode="full")[sl]
-         + spec.beta * fftconvolve(eps[1], w2, mode="full")[sl])
-    y = (spec.gamma * fftconvolve(eps[2], w3, mode="full")[sl]
-         + spec.delta * fftconvolve(eps[3], w4, mode="full")[sl])
+    x = (spec.alpha * _fftconvolve(eps[0], w1)[sl]
+         + spec.beta * _fftconvolve(eps[1], w2)[sl])
+    y = (spec.gamma * _fftconvolve(eps[2], w3)[sl]
+         + spec.delta * _fftconvolve(eps[3], w4)[sl])
     return BivariateSample(
         x=TimeSeries(x, label="x"), y=TimeSeries(y, label="y"), spec=spec
     )

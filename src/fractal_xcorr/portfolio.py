@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateFluctuationError
 from .fluctuation import DetrendConfig, FluctuationSet, q_fluctuations
 from .series import AlignedPair

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +41,23 @@ class TestSimulate:
     def test_invalid_d_exits_2(self, tmp_path):
         rc = main(["simulate", "--d1", "0.6", "--out-dir", str(tmp_path)])
         assert rc == 2
+        assert not (tmp_path / "simulated_x.csv").exists()
+
+    @pytest.mark.parametrize("content,message", [
+        ('{"bogus": 1}', "unknown spec key(s): bogus"),
+        ("{not json", "invalid JSON"),
+        ("[0.4, 0.2]", "spec must be a JSON object"),
+        (None, "no such file"),
+    ])
+    def test_bad_spec_json_exit_2(self, tmp_path, capsys, content, message):
+        spec = tmp_path / "spec.json"
+        if content is not None:
+            spec.write_text(content)
+        rc = main(["simulate", "--spec-json", str(spec), "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
         assert not (tmp_path / "simulated_x.csv").exists()
 
     def test_seed_env_var(self, tmp_path, monkeypatch):
@@ -128,6 +149,15 @@ class TestBenchmarkCommand:
         assert table[2].startswith("500,20,")
 
 
+    @pytest.mark.parametrize("flag", ["--cross-corrs", "--lengths", "--n-min", "--s-max"])
+    def test_non_numeric_list_exit_2(self, tmp_path, capsys, flag):
+        rc = main(["benchmark", "--reps", "10", flag, "abc", "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {flag}: ")
+        assert not (tmp_path / "benchmark_manifest.json").exists()
+
+
 class TestSurrogateCommand:
     def test_end_to_end(self, price_files, tmp_path):
         xp, yp = price_files
@@ -141,6 +171,16 @@ class TestSurrogateCommand:
         for r in payload["results"]:
             assert 0.0 < r["p_value"] <= 1.0
             assert ("hedge" in r["classification"]) or ("safe haven" in r["classification"])
+
+
+    @pytest.mark.parametrize("alpha", ["7", "1", "0", "-0.05", "nan"])
+    def test_alpha_outside_unit_interval_exit_2(self, price_files, tmp_path, capsys, alpha):
+        xp, yp = price_files
+        rc = main(["test", str(xp), str(yp), "--column", "close", "--scales", "20",
+                   "--surrogates", "100", "--alpha", alpha, "--out-dir", str(tmp_path / "t")])
+        assert rc == 2
+        assert "--alpha" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
 
 
 class TestPortfolioCommand:
@@ -183,3 +223,40 @@ class TestRerun:
         bad = tmp_path / "m.json"
         bad.write_text(json.dumps({"subcommand": "analyze"}))
         assert main(["rerun", str(bad)]) == 2
+
+    def test_from_another_directory(self, price_files, tmp_path, monkeypatch):
+        xp, yp = price_files
+        work, elsewhere = tmp_path / "work", tmp_path / "elsewhere"
+        work.mkdir()
+        elsewhere.mkdir()
+        (work / "x.csv").write_bytes(xp.read_bytes())
+        (work / "y.csv").write_bytes(yp.read_bytes())
+        monkeypatch.chdir(work)
+        assert main(["analyze", "x.csv", "y.csv", "--column", "close",
+                     "--scales", "10,20", "--out-dir", "out"]) == 0
+        manifest = json.loads((work / "out" / "analyze_manifest.json").read_text())
+        assert manifest["cwd"] == str(work)
+        before = {p.name: p.read_bytes() for p in (work / "out").iterdir()}
+        (work / "out" / "correlation_profile.csv").unlink()
+
+        monkeypatch.chdir(elsewhere)
+        assert main(["rerun", "../work/out/analyze_manifest.json"]) == 0
+        assert {p.name: p.read_bytes() for p in (work / "out").iterdir()} == before
+        assert list(elsewhere.iterdir()) == []
+
+    def test_missing_manifest_exit_2(self, tmp_path, capsys):
+        assert main(["rerun", str(tmp_path / "none.json")]) == 2
+        assert "no such file" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    import fractal_xcorr
+
+    code = ("import sys, fractal_xcorr.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(fractal_xcorr.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"

@@ -63,6 +63,27 @@ class TestMovingAverage:
             moving_average(np.arange(5.0), 3, theta=1.5)
 
 
+class TestRunningSum:
+    @pytest.mark.parametrize("s", [4, 20, 3162, 125_000])
+    def test_matches_direct_form_at_large_n(self, s):
+        x = np.cumsum(np.random.default_rng(31).standard_normal(500_000))
+        w = np.full(s, 1.0 / s)
+        for theta in (0.0, 0.5, 1.0):
+            ma = moving_average(x, s, theta)
+            rms = np.sqrt(np.mean((x[ma.start : ma.stop] - ma.values) ** 2))
+            m = ma.values.size
+            # np.convolve on 400 outputs at the head, middle and tail
+            for a in (0, m // 2, m - 400):
+                direct = np.convolve(x[a : a + 399 + s], w, mode="valid")
+                err = np.max(np.abs(ma.values[a : a + 400] - direct))
+                assert err <= 2e-11 * rms
+
+    def test_same_values_on_any_grid(self, pair_1000):
+        narrow = q_fluctuations(pair_1000, DetrendConfig(scale_grid=(10, 200), q=2.0))
+        wide = q_fluctuations(pair_1000, DetrendConfig(scale_grid=(5, 10, 40, 200, 250), q=2.0))
+        assert [wide[1], wide[3]] == narrow
+
+
 class TestSegments:
     def test_segment_counts(self):
         assert n_segments(100, 25) == 3

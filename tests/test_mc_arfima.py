@@ -123,3 +123,28 @@ class TestGenerate:
         b = generate(silent)
         assert not np.array_equal(a.x.values, b.x.values)
         assert np.array_equal(a.y.values, b.y.values)
+
+
+class TestScipyFreeConvolution:
+    def test_next_fast_len_matches_scipy(self):
+        from scipy.fft import next_fast_len
+
+        from fractal_xcorr.mc_arfima import _next_fast_len
+
+        assert all(_next_fast_len(n) == next_fast_len(n, real=True) for n in range(1, 40_000))
+
+    @pytest.mark.parametrize("length", [500, 1000, 5000])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_generate_equals_scipy_fftconvolve_form(self, length, seed):
+        from scipy.signal import fftconvolve
+
+        spec = McArfimaSpec(length=length, seed=seed, cross_corr=0.5,
+                            d2=0.1 + 0.05 * seed, alpha=0.7, delta=1.3)
+        sample = generate(spec)
+        eps = correlated_innovations(spec, spec.length + spec.truncation,
+                                     rng=np.random.default_rng(spec.seed))
+        w = [arfima_weights(d, spec.truncation) for d in (spec.d1, spec.d2, spec.d3, spec.d4)]
+        sl = slice(spec.truncation, spec.truncation + spec.length)
+        conv = [fftconvolve(e, wk, mode="full")[sl] for e, wk in zip(eps, w)]
+        assert np.array_equal(sample.x.values, spec.alpha * conv[0] + spec.beta * conv[1])
+        assert np.array_equal(sample.y.values, spec.gamma * conv[2] + spec.delta * conv[3])

@@ -39,6 +39,19 @@ def test_matches_naive_oracle_other_orders(q, theta):
         assert fs.f_xy_q == pytest.approx(f_xy, abs=1e-10)
 
 
+def test_matches_naive_oracle_large_windows():
+    # windows from the direct sum to the running sum, up to N/4
+    pair = gaussian_pair(8, 5000, corr=0.5)
+    cfg = DetrendConfig(scale_grid=(16, 100, 1250), q=2.0)
+    x = list(pair.x.values)
+    y = list(pair.y.values)
+    for fs in q_fluctuations(pair, cfg):
+        f_x, f_y, f_xy, _ = naive_q_fluctuations(x, y, fs.scale, 2.0, 0.5)
+        assert fs.f_x_q == pytest.approx(f_x, abs=1e-10)
+        assert fs.f_y_q == pytest.approx(f_y, abs=1e-10)
+        assert fs.f_xy_q == pytest.approx(f_xy, abs=1e-10)
+
+
 def test_oracle_valid_range_length():
     # the residual must exist on exactly N - s + 1 positions
     from oracle_naive import naive_profile, naive_residual

@@ -112,3 +112,161 @@ def test_describe_degenerate_series():
     assert np.isnan(d.jarque_bera_statistic)
     with pytest.raises(InputError, match="at least 8"):
         describe(TimeSeries(np.arange(5.0)))
+
+
+# -- load_csv against the previous row-by-row loader --------------------------
+
+def reference_load_csv(path, column):
+    """The loader as it was before the vectorised parse, kept verbatim as the
+    reference for values, labels and error messages."""
+    import csv
+
+    def _is_number(token):
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return True
+
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [
+                row for row in csv.reader(fh)
+                if row and any(c.strip() for c in row) and not row[0].lstrip().startswith("#")
+            ]
+    except FileNotFoundError:
+        raise InputError(f"no such file: {path}") from None
+    if not rows:
+        raise InputError(f"{path}: empty file")
+
+    header = None
+    if not all(_is_number(c.strip()) for c in rows[0]):
+        header = [c.strip() for c in rows[0]]
+        rows = rows[1:]
+
+    if isinstance(column, int) or (isinstance(column, str) and column.lstrip("-").isdigit()):
+        idx = int(column)
+        if idx < 0 or (rows and idx >= len(rows[0])):
+            raise InputError(f"{path}: no column at index {idx}")
+        label = header[idx] if header and idx < len(header) else f"col{idx}"
+    else:
+        if header is None or column not in header:
+            raise InputError(f"{path}: no column named {column!r}")
+        idx = header.index(column)
+        label = column
+
+    if len(rows) < 2:
+        raise InputError(f"{path}: need at least 2 data rows, got {len(rows)}")
+
+    values = np.empty(len(rows))
+    offset = 2 if header is not None else 1
+    for i, row in enumerate(rows):
+        if idx >= len(row):
+            raise InputError(f"{path}: row {i + offset} has no column {idx}")
+        cell = row[idx].strip()
+        try:
+            v = float(cell)
+        except ValueError:
+            raise InputError(f"{path}: non-numeric cell {cell!r} in row {i + offset}") from None
+        if not np.isfinite(v):
+            raise InputError(f"{path}: non-finite value {cell!r} in row {i + offset}")
+        values[i] = v
+    return TimeSeries(values, label=label)
+
+
+def _outcome(loader, path, column):
+    try:
+        s = loader(path, column)
+    except InputError as exc:
+        return "error", str(exc)
+    return s.label, s.values
+
+
+def assert_same_as_reference(path, column):
+    want = _outcome(reference_load_csv, path, column)
+    got = _outcome(load_csv, path, column)
+    assert got[0] == want[0]
+    if want[0] == "error":
+        assert got[1] == want[1]
+    else:
+        assert np.array_equal(got[1], want[1])
+
+
+LOADER_CASES = {
+    "header": "minute,close\n0,100.0\n1,99.9946332045206\n2,100.25\n",
+    "headerless": "1.0\n2.5\n-3e-4\n",
+    "comments": "# source: test\nv\n  # indented note\n1.0\n#2.0\n3.0\n",
+    "blank_rows": "\nv\n\n1.0\n   \n\t\n2.0\n \r\n3.0\n\n",
+    "comma_only_rows": ",\nv,w\n , \n1,2\n,,\n3,4\n",
+    "crlf": "v,w\r\n1.5,2\r\n2.5,3\r\n# c\r\n\r\n3.5,4\r\n",
+    "lone_cr": "v\r1.0\r2.0\r3.0\r",
+    "no_final_newline": "v\n1.0\n2.0",
+    "quoted": '"v","w"\n"1.5",2\n"2.5",3\n',
+    "quoted_comment_cell": 'v,w\n"#x",1\n1,2\n2,3\n',
+    "quoted_newline": 'v,w\n1,"a\nb"\n2,3\n3,4\n',
+    "extra_columns": "v\n1,9,9\n2\n3,x\n",
+    "spaces": "  v , w \n 1.0 ,  2 \n 3 , 4\n",
+    "non_numeric": "v\n1.0\noops\n3.0\n",
+    "non_finite_nan": "v\n1.0\nnan\n3.0\n",
+    "non_finite_inf": "v,w\n1,2\n3,-inf\n",
+    "overflow": "v\n1.0\n1e500\n",
+    "missing_cell": "v,w\n1,2\n3\n5,6\n",
+    "empty_cell": "v,w\n1,2\n3,\n5,6\n",
+    "underscore_digits": "v\n1_000\n2\n",
+    "empty": "\n# only a comment\n\n",
+    "one_row": "v\n1.0\n",
+    "header_only": "v,w\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADER_CASES))
+@pytest.mark.parametrize("column", [0, 1, "1", "v", "w", "close", -1, 7])
+def test_load_csv_matches_reference(tmp_path, name, column):
+    p = tmp_path / f"{name}.csv"
+    p.write_bytes(LOADER_CASES[name].encode())
+    assert_same_as_reference(p, column)
+
+
+def test_load_csv_matches_reference_on_random_files(tmp_path):
+    cells = ["1.5", " 2 ", "-3e-2", "7", "nan", "inf", "x", "", " ", "#c", '"4"',
+             '"#q"', "1e500", "1_0", "+.5"]
+    ends = ["\n", "\r\n", "\r"]
+    rng = np.random.default_rng(2024)
+    p = tmp_path / "fuzz.csv"
+    for _ in range(400):
+        lines = ["a,b" if rng.random() < 0.5 else ""]
+        for _ in range(rng.integers(0, 7)):
+            k = rng.integers(1, 4)
+            lines.append(",".join(rng.choice(cells, size=k)))
+        text = "".join(ln + ends[rng.integers(0, 3)] for ln in lines)
+        p.write_bytes(text.encode())
+        for column in (0, 1, "a", "b"):
+            assert_same_as_reference(p, column)
+
+
+def test_load_csv_plain_files_take_the_vector_parse(tmp_path, monkeypatch):
+    import fractal_xcorr.series as series
+
+    def row_reader(*args):
+        raise AssertionError("row-by-row reader used")
+
+    monkeypatch.setattr(series, "_parse_rows", row_reader)
+    for name in ("header", "headerless", "comments", "blank_rows", "crlf", "lone_cr",
+                 "extra_columns", "spaces"):
+        p = tmp_path / f"{name}.csv"
+        p.write_bytes(LOADER_CASES[name].encode())
+        load_csv(p, 0)
+
+
+def test_load_csv_error_messages_name_the_row(tmp_path):
+    cases = {
+        "non_numeric": ("v", "non-numeric cell 'oops' in row 3"),
+        "non_finite_nan": ("v", "non-finite value 'nan' in row 3"),
+        "non_finite_inf": ("w", "non-finite value '-inf' in row 3"),
+        "missing_cell": ("w", "row 3 has no column 1"),
+    }
+    for name, (column, message) in cases.items():
+        p = tmp_path / f"{name}.csv"
+        p.write_bytes(LOADER_CASES[name].encode())
+        with pytest.raises(InputError, match=message):
+            load_csv(p, column)
