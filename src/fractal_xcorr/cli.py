@@ -151,16 +151,15 @@ def _add_io_args(p, pair=True):
     p.add_argument("--format", choices=("csv", "json", "both"), default="both")
 
 
-def _add_common_args(p):
+def _add_common_args(p, scales=True):
     p.add_argument("--theta", type=float, default=0.5, help="moving-average position (default 0.5)")
     p.add_argument("--q", type=float, action="append", default=None,
                    help="fluctuation order, repeatable (default 2 and 4)")
-    p.add_argument("--scales", default=DEFAULT_SCALES,
-                   help=f"comma list or log:LO:HI:NUM (default {DEFAULT_SCALES})")
+    if scales:
+        p.add_argument("--scales", default=DEFAULT_SCALES,
+                       help=f"comma list or log:LO:HI:NUM (default {DEFAULT_SCALES})")
     p.add_argument("--seed", type=int, default=None,
                    help=f"master seed (falls back to ${SEED_ENV_VAR}, then 0)")
-    p.add_argument("--threads", type=int, default=os.cpu_count(),
-                   help="worker cap; results are independent of it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".")
 
     p = sub.add_parser("benchmark", help="bias/SD/MSE comparison of both estimators")
-    _add_common_args(p)
+    _add_common_args(p, scales=False)
     p.add_argument("--reps", type=int, default=200,
                    help="replications per cell (default 200; 1000 for full reproduction)")
     p.add_argument("--lengths", default="500,1000,5000")
@@ -357,22 +356,22 @@ def cmd_test(args, argv) -> int:
     seed = _resolve_seed(args)
     pair = _load_pair(args)
     configs = _detrend_configs(args, len(pair))
-    iaaft = IaaftConfig(seed=seed)
+    reports = surrogate_test(pair, configs[0], n_surrogates=args.surrogates,
+                             iaaft=IaaftConfig(seed=seed), qs=[c.q for c in configs])
     rows = []
-    for cfg in configs:
-        for rep in surrogate_test(pair, cfg, n_surrogates=args.surrogates, iaaft=iaaft):
-            label = classify(rep, alpha=args.alpha)
-            rows.append({
-                "scale": rep.scale, "q": rep.q,
-                "statistic": round(rep.observed_rho, 4), "stars": stars(rep.p_value),
-                "p_value": round(rep.p_value, 4), "classification": label,
-            })
-            print(f"q={rep.q:g} s={rep.scale:>5d}  rho={rep.observed_rho:+.4f}"
-                  f"{stars(rep.p_value):<3} p={rep.p_value:.3f}  {label}")
+    for rep in reports:
+        label = classify(rep, alpha=args.alpha)
+        rows.append({
+            "scale": rep.scale, "q": rep.q,
+            "statistic": round(rep.observed_rho, 4), "stars": stars(rep.p_value),
+            "p_value": round(rep.p_value, 4), "classification": label,
+        })
+        print(f"q={rep.q:g} s={rep.scale:>5d}  rho={rep.observed_rho:+.4f}"
+              f"{stars(rep.p_value):<3} p={rep.p_value:.3f}  {label}")
     inputs = _input_digests(args, "x_csv", "y_csv")
     config = {"theta": args.theta, "returns": args.returns, "alpha": args.alpha,
-              "n_surrogates": args.surrogates, "qs": [c.q for c in configs],
-              "scales": list(configs[0].scale_grid)}
+              "n_surrogates": args.surrogates, "n_failed": reports[0].n_failed,
+              "qs": [c.q for c in configs], "scales": list(configs[0].scale_grid)}
     _, digest = _write_manifest(out_dir, "test", config, seed, inputs, argv, args.cwd)
     if args.format in ("csv", "both"):
         _write_csv(out_dir / "surrogate_test.csv", digest,

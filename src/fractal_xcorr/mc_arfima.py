@@ -10,6 +10,7 @@ H_x = d1 + 0.5, H_y = d4 + 0.5 and H_xy = 0.5 + (d2 + d3)/2.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -17,6 +18,8 @@ from .errors import InputError
 from .series import TimeSeries
 
 CANONICAL = dict(d1=0.4, d2=0.2, d3=0.2, d4=0.4)  # theoretical coherency exponent -0.2
+_REAL_FIELDS = ("d1", "d2", "d3", "d4", "alpha", "beta", "gamma", "delta", "cross_corr")
+_INT_FIELDS = ("length", "truncation", "seed")
 
 
 @dataclass(frozen=True)
@@ -38,11 +41,20 @@ class McArfimaSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for names, kind, label in ((_REAL_FIELDS, Real, "a real number"),
+                                   (_INT_FIELDS, Integral, "an integer")):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise InputError(f"{name}={value!r} is not {label}")
         for name in ("d1", "d2", "d3", "d4"):
             d = getattr(self, name)
             if not -0.5 < d < 0.5:
                 raise InputError(f"{name}={d} outside (-0.5, 0.5)")
-        sds = tuple(float(s) for s in self.innovation_sd)
+        try:
+            sds = tuple(float(s) for s in self.innovation_sd)
+        except (TypeError, ValueError):
+            sds = ()
         if len(sds) != 4 or any(s <= 0 for s in sds):
             raise InputError(f"innovation_sd must be four positive reals, got {self.innovation_sd}")
         object.__setattr__(self, "innovation_sd", sds)

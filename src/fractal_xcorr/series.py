@@ -203,6 +203,8 @@ def load_csv(path, column) -> TimeSeries:
             text = fh.read()
     except FileNotFoundError:
         raise InputError(f"no such file: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     values, label = _parse_plain(path, text, column) or _parse_rows(path, text, column)
     return TimeSeries(values, label=label)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFluctuationError, InputError
-from .fluctuation import DetrendConfig, _dma_segment_stats, aggregate_q, rho_q_dmca, q_fluctuations
+from .fluctuation import DetrendConfig, _dma_segment_stats, aggregate_q, rho_q_dmca
 from .series import AlignedPair, TimeSeries
 
 MIN_SURROGATE_LENGTH = 32
@@ -65,15 +65,20 @@ def _iaaft_ensemble(x: np.ndarray, n_rows: int, cfg: IaaftConfig, rng) -> np.nda
     active = np.arange(n_rows)
     for _ in range(cfg.max_iterations):
         spec = np.fft.rfft(cand[active], axis=1)
-        mismatch = np.linalg.norm(np.abs(spec) - target_amp, axis=1) / target_norm
+        amp = np.abs(spec)
+        mismatch = np.linalg.norm(amp - target_amp, axis=1) / target_norm
         rel_change = np.abs(prev[active] - mismatch) / np.maximum(mismatch, 1e-300)
         prev[active] = mismatch
         keep = rel_change >= cfg.convergence_tol
         if not keep.any():
             break
         active = active[keep]
-        phases = np.exp(1j * np.angle(spec[keep]))
-        nxt = np.fft.irfft(target_amp * phases, n=N, axis=1)
+        # spec / |spec| is the unit phasor; a zero bin takes phase 0, as
+        # np.angle(0) does, so it carries target_amp unchanged.
+        zero = amp == 0.0
+        spec[zero] = 1.0
+        amp[zero] = 1.0
+        nxt = np.fft.irfft(spec[keep] * (target_amp / amp[keep]), n=N, axis=1)
         order = np.argsort(nxt, axis=1)
         nxt[np.arange(active.size)[:, None], order] = sorted_x[None, :]
         cand[active] = nxt
@@ -96,36 +101,41 @@ def _series_rng(seed: int, values: np.ndarray):
     )
 
 
-def _rho_all_scales(px, py, cfg: DetrendConfig):
-    """rho per scale, or None if any scale is degenerate."""
-    rhos = []
-    for s in cfg.scale_grid:
+def _rho_all_scales(px, py, cfg: DetrendConfig, qs):
+    """rho per (q, scale), shape (len(qs), len(grid)), or None if any cell
+    is degenerate.  Segment statistics are computed once per scale and
+    aggregated for every q."""
+    rhos = np.empty((len(qs), len(cfg.scale_grid)))
+    for j, s in enumerate(cfg.scale_grid):
         fx, fy, cross = _dma_segment_stats(px, py, s, cfg.theta)
-        try:
-            rho, _ = rho_q_dmca(aggregate_q(s, cfg.q, fx, fy, cross))
-        except DegenerateFluctuationError:
-            return None
-        rhos.append(rho)
+        for i, q in enumerate(qs):
+            try:
+                rhos[i, j], _ = rho_q_dmca(aggregate_q(s, q, fx, fy, cross))
+            except DegenerateFluctuationError:
+                return None
     return rhos
 
 
 def surrogate_test(pair: AlignedPair, cfg: DetrendConfig, n_surrogates: int = 1000,
-                   iaaft: IaaftConfig = IaaftConfig()) -> list:
-    """Two-tailed surrogate test of the scale-wise coefficient.
+                   iaaft: IaaftConfig = IaaftConfig(), qs=None) -> list:
+    """Two-tailed surrogate test of the scale-wise coefficient, for each q of
+    ``qs`` (default ``(cfg.q,)``) on one shared surrogate ensemble.
 
     p = (#{|rho_s - mean| >= |rho_obs - mean|} + 1) / (n + 1); the add-one
-    correction keeps p strictly positive.  Degenerate surrogate pairs are
-    regenerated with fresh seeds (capped), then counted out.
+    correction keeps p strictly positive.  A surrogate pair that is
+    degenerate in any (q, scale) cell is regenerated with fresh seeds
+    (capped), then counted out.  Reports are ordered by q, then by scale.
     """
     if n_surrogates < 100:
         raise InputError(f"n_surrogates={n_surrogates} < 100")
     if len(pair) < MIN_SURROGATE_LENGTH:
         raise InputError(f"pair too short for surrogates: N={len(pair)}")
     cfg.check_length(len(pair))
+    qs = (cfg.q,) if qs is None else tuple(qs)
 
     px = np.cumsum(pair.x.values)
     py = np.cumsum(pair.y.values)
-    observed = _rho_all_scales(px, py, cfg)
+    observed = _rho_all_scales(px, py, cfg, qs)
     if observed is None:
         raise DegenerateFluctuationError("degenerate fluctuation in the observed pair")
 
@@ -136,34 +146,38 @@ def surrogate_test(pair: AlignedPair, cfg: DetrendConfig, n_surrogates: int = 10
     sx = _iaaft_ensemble(pair.x.values, n_surrogates, iaaft, rng_x)
     sy = _iaaft_ensemble(pair.y.values, n_surrogates, iaaft, rng_y)
 
-    surr_rhos = np.empty((n_surrogates, len(cfg.scale_grid)))
+    surr_rhos = np.empty((n_surrogates, len(qs), len(cfg.scale_grid)))
     failed = np.zeros(n_surrogates, dtype=bool)
     for i in range(n_surrogates):
-        rhos = _rho_all_scales(np.cumsum(sx[i]), np.cumsum(sy[i]), cfg)
+        rhos = _rho_all_scales(np.cumsum(sx[i]), np.cumsum(sy[i]), cfg, qs)
         retries = 0
         while rhos is None and retries < MAX_REGENERATION_RETRIES:
             retries += 1
             sx[i] = _iaaft_ensemble(pair.x.values, 1, iaaft, rng_x)[0]
             sy[i] = _iaaft_ensemble(pair.y.values, 1, iaaft, rng_y)[0]
-            rhos = _rho_all_scales(np.cumsum(sx[i]), np.cumsum(sy[i]), cfg)
+            rhos = _rho_all_scales(np.cumsum(sx[i]), np.cumsum(sy[i]), cfg, qs)
         if rhos is None:
             failed[i] = True
         else:
             surr_rhos[i] = rhos
 
-    reports = []
     ok = ~failed
     n_failed = int(failed.sum())
-    for j, s in enumerate(cfg.scale_grid):
-        vals = surr_rhos[ok, j]
-        mean = float(vals.mean())
-        dist_obs = abs(observed[j] - mean)
-        count = int(np.sum(np.abs(vals - mean) >= dist_obs))
-        reports.append(SurrogateTestReport(
-            scale=s, q=cfg.q, observed_rho=observed[j], surrogate_mean=mean,
-            surrogate_values=vals, p_value=(count + 1) / (vals.size + 1),
-            n_failed=n_failed,
-        ))
+    if n_failed == n_surrogates:
+        raise DegenerateFluctuationError(
+            f"all {n_surrogates} surrogate pairs degenerate after retries")
+    reports = []
+    for k, q in enumerate(qs):
+        for j, s in enumerate(cfg.scale_grid):
+            vals = surr_rhos[ok, k, j]
+            mean = float(vals.mean())
+            obs = float(observed[k, j])
+            count = int(np.sum(np.abs(vals - mean) >= abs(obs - mean)))
+            reports.append(SurrogateTestReport(
+                scale=s, q=q, observed_rho=obs, surrogate_mean=mean,
+                surrogate_values=vals, p_value=(count + 1) / (vals.size + 1),
+                n_failed=n_failed,
+            ))
     return reports
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fractal_xcorr import DetrendConfig, TimeSeries, correlation_profile, log_returns
+from fractal_xcorr import surrogate
 from fractal_xcorr.cli import main
 from fractal_xcorr.series import AlignedPair, load_csv
 
@@ -57,6 +58,26 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "simulated_x.csv").exists()
+
+    @pytest.mark.parametrize("content,field", [
+        ('{"length": "abc"}', "length"),
+        ('{"length": 300.0}', "length"),
+        ('{"seed": true}', "seed"),
+        ('{"truncation": null}', "truncation"),
+        ('{"d1": "0.3"}', "d1"),
+        ('{"cross_corr": [0.5]}', "cross_corr"),
+        ('{"alpha": false}', "alpha"),
+        ('{"innovation_sd": "abcd"}', "innovation_sd"),
+    ])
+    def test_spec_json_wrong_type_exit_2(self, tmp_path, capsys, content, field):
+        spec = tmp_path / "spec.json"
+        spec.write_text(content)
+        rc = main(["simulate", "--spec-json", str(spec), "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {field}")
         assert err.count("\n") == 1
         assert not (tmp_path / "simulated_x.csv").exists()
 
@@ -171,6 +192,27 @@ class TestSurrogateCommand:
         for r in payload["results"]:
             assert 0.0 < r["p_value"] <= 1.0
             assert ("hedge" in r["classification"]) or ("safe haven" in r["classification"])
+        manifest = json.loads((out / "test_manifest.json").read_text())
+        assert manifest["config"]["n_failed"] == 0
+
+    def test_one_ensemble_per_series_for_every_q(self, price_files, tmp_path, monkeypatch):
+        calls = []
+        original = surrogate._iaaft_ensemble
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(surrogate, "_iaaft_ensemble", counting)
+        xp, yp = price_files
+        out = tmp_path / "test"
+        rc = main(["test", str(xp), str(yp), "--column", "close", "--scales", "10,20",
+                   "--q", "2", "--q", "4", "--surrogates", "100", "--out-dir", str(out)])
+        assert rc == 0
+        assert calls == [100, 100]
+        rows = (out / "surrogate_test.csv").read_text().splitlines()[2:]
+        assert [r.split(",")[:2] for r in rows] == [
+            ["10", "2.0"], ["20", "2.0"], ["10", "4.0"], ["20", "4.0"]]
 
 
     @pytest.mark.parametrize("alpha", ["7", "1", "0", "-0.05", "nan"])
@@ -205,6 +247,29 @@ class TestDescribeCommand:
         payload = json.loads((out / "describe.json").read_text())
         assert set(payload["results"]) >= {"mean", "std_dev", "skewness",
                                            "kurtosis", "jarque_bera_p_value"}
+
+    def test_non_utf8_csv_exit_2(self, tmp_path, capsys):
+        latin = tmp_path / "latin.csv"
+        latin.write_bytes("v\n1.0\n2.0\ncaf\u00e9\n".encode("latin-1"))
+        rc = main(["describe", str(latin), "--column", "v", "--returns", "raw",
+                   "--out-dir", str(tmp_path / "d")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "latin.csv" in err and "UTF-8" in err
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "x.csv", "y.csv", "--threads", "2"],
+    ["test", "x.csv", "y.csv", "--threads", "2"],
+    ["benchmark", "--threads", "2"],
+    ["benchmark", "--scales", "1,2"],
+])
+def test_removed_flags_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestRerun:

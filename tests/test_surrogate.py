@@ -11,13 +11,65 @@ from fractal_xcorr import (
     classify,
     surrogate_test,
 )
+from fractal_xcorr import surrogate
+from fractal_xcorr.errors import DegenerateFluctuationError
 from fractal_xcorr.mc_arfima import McArfimaSpec, generate
-from fractal_xcorr.surrogate import SurrogateTestReport, stars
+from fractal_xcorr.surrogate import SurrogateTestReport, _iaaft_ensemble, stars
 from conftest import gaussian_pair
 
 
 def arfima_series(seed, n=1024):
     return generate(McArfimaSpec(length=n, seed=seed, truncation=2000)).x
+
+
+def iaaft_reference(x, n_rows, cfg, rng):
+    """The IAAFT iteration with the phase taken as exp(i * angle(spec))."""
+    N = x.size
+    sorted_x = np.sort(x)
+    target_amp = np.abs(np.fft.rfft(x))
+    target_norm = np.linalg.norm(target_amp)
+    cand = np.empty((n_rows, N))
+    for i in range(n_rows):
+        cand[i] = rng.permutation(x)
+    prev = np.full(n_rows, np.inf)
+    active = np.arange(n_rows)
+    for _ in range(cfg.max_iterations):
+        spec = np.fft.rfft(cand[active], axis=1)
+        mismatch = np.linalg.norm(np.abs(spec) - target_amp, axis=1) / target_norm
+        rel_change = np.abs(prev[active] - mismatch) / np.maximum(mismatch, 1e-300)
+        prev[active] = mismatch
+        keep = rel_change >= cfg.convergence_tol
+        if not keep.any():
+            break
+        active = active[keep]
+        phases = np.exp(1j * np.angle(spec[keep]))
+        nxt = np.fft.irfft(target_amp * phases, n=N, axis=1)
+        order = np.argsort(nxt, axis=1)
+        nxt[np.arange(active.size)[:, None], order] = sorted_x[None, :]
+        cand[active] = nxt
+    return cand
+
+
+class TestIaaftPhaseStep:
+    @pytest.mark.parametrize("n,seed", [(256, 0), (1000, 1), (2000, 2), (1024, 3)])
+    def test_bit_identical_to_reference(self, n, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_t(3, n) if seed % 2 else arfima_series(seed, n).values
+        cfg = IaaftConfig(seed=seed)
+        got = _iaaft_ensemble(x, 20, cfg, np.random.default_rng(seed))
+        want = iaaft_reference(x, 20, cfg, np.random.default_rng(seed))
+        assert np.array_equal(got, want)
+
+    def test_zero_dc_bin(self):
+        # integers summing to exactly zero: the DC bin of every candidate is 0
+        x = np.array([3, -1, 4, -1, -5, 9, -2, 6, -5, 3, -5, -6] * 8, dtype=float)
+        assert x.sum() == 0.0 and np.fft.rfft(x)[0] == 0.0
+        cfg = IaaftConfig(seed=1)
+        got = _iaaft_ensemble(x, 20, cfg, np.random.default_rng(1))
+        want = iaaft_reference(x, 20, cfg, np.random.default_rng(1))
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(np.sort(got, axis=1), np.broadcast_to(np.sort(x), got.shape))
+        assert np.array_equal(got, want)
 
 
 class TestIaaftSurrogate:
@@ -97,6 +149,33 @@ class TestSurrogateTest:
             ]
             ps.append(np.median(vals))
         assert ps[0] >= ps[1] >= ps[2]
+
+    def test_several_qs_match_single_q_calls(self):
+        pair = gaussian_pair(7, 800, corr=-0.3)
+        grid = (10, 20, 50)
+        iaaft = IaaftConfig(seed=3)
+        joint = surrogate_test(pair, DetrendConfig(scale_grid=grid, q=2.0), n_surrogates=100,
+                               iaaft=iaaft, qs=(2.0, 4.0, -2.0))
+        single = [rep for q in (2.0, 4.0, -2.0)
+                  for rep in surrogate_test(pair, DetrendConfig(scale_grid=grid, q=q),
+                                            n_surrogates=100, iaaft=iaaft)]
+        assert [(r.q, r.scale) for r in joint] == [(r.q, r.scale) for r in single]
+        for a, b in zip(joint, single):
+            assert np.array_equal(a.surrogate_values, b.surrogate_values)
+            assert a.observed_rho == b.observed_rho
+            assert a.p_value == b.p_value
+
+    def test_every_surrogate_degenerate_raises(self, monkeypatch):
+        original = surrogate._rho_all_scales
+        calls = []
+
+        def observed_only(*args):
+            calls.append(1)
+            return original(*args) if len(calls) == 1 else None
+
+        monkeypatch.setattr(surrogate, "_rho_all_scales", observed_only)
+        with pytest.raises(DegenerateFluctuationError, match="all 100 surrogate pairs"):
+            surrogate_test(gaussian_pair(1, 600), self.cfg, n_surrogates=100)
 
     def test_preconditions(self):
         pair = gaussian_pair(0, 600)
