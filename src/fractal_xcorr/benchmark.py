@@ -13,18 +13,22 @@ n_min .. N/5; moving-average runs parameterized by s_max fit scales
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFluctuationError, InputError
-from .fluctuation import _dcca_segment_stats, _dma_segment_stats, aggregate_q, rho_q_dmca
+from .errors import InputError
+from .fluctuation import _dcca_segment_stats, _dma_segment_stats, rho_q_rows
 from .mc_arfima import McArfimaSpec, generate
-from .scaling import fit_power_law, log_scales
+from .scaling import log_scales, ols_fit
 
 DMCA_FIT_S_LO = 10  # lower fit bound when s_max is the swept parameter
 DCCA_FIT_HI_DIVISOR = 5  # upper fit bound N/5 when n_min is the swept parameter
-THEORETICAL_H_RHO = -0.2
+# Replications of a cell go through in blocks of at most this many profile
+# points (rows x N; at least one row).  It bounds memory and keeps the working
+# arrays in cache; no result depends on it.
+BLOCK_POINTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -42,6 +46,10 @@ class BenchmarkConfig:
     def __post_init__(self):
         if self.replications < 10:
             raise InputError(f"replications={self.replications} < 10")
+        if any(n < 1 for n in self.lengths):
+            raise InputError(f"lengths {list(self.lengths)} must be positive")
+        if any(q == 0 or not math.isfinite(q) for q in self.qs):
+            raise InputError(f"fluctuation orders {list(self.qs)} must be finite and nonzero")
 
 
 @dataclass(frozen=True)
@@ -82,42 +90,58 @@ def _cell_seed(master_seed: int, length: int, cross_corr: float, rep: int) -> in
     return (base + rep) & ((1 << 63) - 1)
 
 
-def _h_rho_from_stats(stats_by_scale: dict, scales, q: float) -> float:
-    points = []
-    for s in scales:
-        fx, fy, cross = stats_by_scale[s]
-        rho, _ = rho_q_dmca(aggregate_q(s, q, fx, fy, cross))
-        if rho == 0.0:
-            raise DegenerateFluctuationError(f"zero coherency in fit range at scale {s}")
-        points.append((s, rho**2))
-    return fit_power_law(points).exponent / (2.0 * q)
+def _estimate_all(px, py, cfg: BenchmarkConfig, length: int, grids=None):
+    """Coherency estimates for every (method, q, fit range) on a stack of
+    profiles of shape (R, N): {(method, q, param): R estimates}.
 
-
-def _estimate_all(px, py, cfg: BenchmarkConfig, length: int):
-    """Coherency estimates for every (method, q, range param) on one sample.
-
-    Per-scale segment statistics are computed once per method and shared
-    across orders and fit ranges.  Degenerate cells yield None.
+    grids maps method -> {param: fit scales}; by default the benchmark's fit
+    ranges.  Segment statistics are computed once per method and scale for
+    the whole stack and shared across orders and fit ranges.  NaN marks a
+    degenerate replication: F_x^q F_y^q <= 0 or rho = 0 at a fit scale, no
+    segment left at q < 0, or fewer than 3 fit scales.
     """
-    dmca_grids = {p: log_scales(DMCA_FIT_S_LO, p) for p in cfg.dmca_s_max}
-    dcca_hi = length // DCCA_FIT_HI_DIVISOR
-    dcca_grids = {p: log_scales(p, dcca_hi) for p in cfg.dcca_n_min if p < dcca_hi}
-
+    if grids is None:
+        dcca_hi = length // DCCA_FIT_HI_DIVISOR
+        grids = {"DMCA": {p: log_scales(DMCA_FIT_S_LO, p) for p in cfg.dmca_s_max},
+                 "DCCA": {p: log_scales(p, dcca_hi) for p in cfg.dcca_n_min if p < dcca_hi}}
+    qs = np.asarray(cfg.qs, dtype=float)
     out = {}
-    for method, grids, stat_fn in (
-        ("DMCA", dmca_grids, lambda s: _dma_segment_stats(px, py, s, cfg.theta)),
-        ("DCCA", dcca_grids, lambda s: _dcca_segment_stats(px, py, s)),
-    ):
-        cache = {}
-        for s in sorted({s for g in grids.values() for s in g}):
-            cache[s] = stat_fn(s)
-        for param, scales in grids.items():
-            for q in cfg.qs:
-                try:
-                    est = _h_rho_from_stats(cache, scales, q)
-                except (DegenerateFluctuationError, InputError):
-                    est = None
-                out[(method, q, param)] = est
+    for method, by_param in grids.items():
+        log_rho2 = {}
+        for s in sorted({s for g in by_param.values() for s in g}):
+            stats = (_dma_segment_stats(px, py, s, cfg.theta) if method == "DMCA"
+                     else _dcca_segment_stats(px, py, s))
+            rho2 = rho_q_rows(*stats, qs) ** 2
+            log_rho2[s] = np.log(np.where(rho2 > 0.0, rho2, np.nan))
+        for param, scales in by_param.items():
+            est = np.full((px.shape[0], qs.size), np.nan)
+            if len(scales) >= 3:
+                slope, _ = ols_fit(np.log(scales), np.stack([log_rho2[s] for s in scales], -1))
+                est = slope / (2.0 * qs)
+            for i, q in enumerate(cfg.qs):
+                out[(method, q, param)] = est[:, i]
+    return out
+
+
+def _replicate(cfg: BenchmarkConfig, length: int, cross_corr: float, grids=None) -> dict:
+    """_estimate_all over every replication of one cell, one block of
+    profiles at a time: {key: estimates without the degenerate ones}, for
+    every key with at least one."""
+    rows = max(1, BLOCK_POINTS // length)
+    blocks = []
+    for first in range(0, cfg.replications, rows):
+        samples = [generate(McArfimaSpec(
+            cross_corr=cross_corr, length=length, truncation=cfg.truncation,
+            seed=_cell_seed(cfg.master_seed, length, cross_corr, rep),
+        )) for rep in range(first, min(first + rows, cfg.replications))]
+        px = np.cumsum([s.x.values for s in samples], axis=-1)
+        py = np.cumsum([s.y.values for s in samples], axis=-1)
+        blocks.append(_estimate_all(px, py, cfg, length, grids))
+    out = {}
+    for key in sorted(blocks[0]):
+        ests = np.concatenate([b[key] for b in blocks])
+        if not np.isnan(ests).all():
+            out[key] = ests[~np.isnan(ests)]
     return out
 
 
@@ -128,25 +152,12 @@ def run_benchmark(cfg: BenchmarkConfig, progress=None) -> list:
     n_effective recording how many completed.  Deterministic given
     cfg.master_seed.
     """
+    h_rho = McArfimaSpec().implied_h_rho
     reports = []
     for length in cfg.lengths:
         for rho in cfg.cross_corrs:
-            estimates = {}  # key -> list of estimates
-            for rep in range(cfg.replications):
-                spec = McArfimaSpec(
-                    cross_corr=rho, length=length, truncation=cfg.truncation,
-                    seed=_cell_seed(cfg.master_seed, length, rho, rep),
-                )
-                sample = generate(spec)
-                px = np.cumsum(sample.x.values)
-                py = np.cumsum(sample.y.values)
-                for key, est in _estimate_all(px, py, cfg, length).items():
-                    estimates.setdefault(key, []).append(est)
-            for (method, q, param), ests in sorted(estimates.items()):
-                vals = np.array([e for e in ests if e is not None])
-                if vals.size == 0:
-                    continue
-                bias = float(vals.mean() - THEORETICAL_H_RHO)
+            for (method, q, param), vals in _replicate(cfg, length, rho).items():
+                bias = float(vals.mean() - h_rho)
                 sd = float(vals.std())  # population SD across replications
                 reports.append(EstimatorReport(
                     method=method, length=length, cross_corr=rho, q=q,
@@ -170,37 +181,10 @@ def stability_sweep(lengths, cfg: BenchmarkConfig) -> list:
     correlation.  Returns records {method, q, N, mean_h_rho, n_effective}.
     """
     lo, hi = STABILITY_FIT_RANGE
-    rho = cfg.cross_corrs[-1]
     records = []
     for length in lengths:
         grid = log_scales(lo, min(hi, length // DCCA_FIT_HI_DIVISOR))
-        estimates = {}
-        for rep in range(cfg.replications):
-            spec = McArfimaSpec(
-                cross_corr=rho, length=length, truncation=cfg.truncation,
-                seed=_cell_seed(cfg.master_seed, length, rho, rep),
-            )
-            sample = generate(spec)
-            px = np.cumsum(sample.x.values)
-            py = np.cumsum(sample.y.values)
-            for method, stat_fn in (
-                ("DMCA", lambda s: _dma_segment_stats(px, py, s, cfg.theta)),
-                ("DCCA", lambda s: _dcca_segment_stats(px, py, s)),
-            ):
-                cache = {s: stat_fn(s) for s in grid}
-                for q in cfg.qs:
-                    try:
-                        est = _h_rho_from_stats(cache, grid, q)
-                    except (DegenerateFluctuationError, InputError):
-                        est = None
-                    estimates.setdefault((method, q), []).append(est)
-        for (method, q), ests in sorted(estimates.items()):
-            vals = np.array([e for e in ests if e is not None])
-            if vals.size == 0:
-                continue
-            records.append({
-                "method": method, "q": q, "N": length,
-                "mean_h_rho": float(vals.mean()),
-                "n_effective": int(vals.size),
-            })
+        ests = _replicate(cfg, length, cfg.cross_corrs[-1], {"DMCA": {hi: grid}, "DCCA": {hi: grid}})
+        records.extend({"method": method, "q": q, "N": length, "mean_h_rho": float(vals.mean()),
+                        "n_effective": int(vals.size)} for (method, q, _), vals in ests.items())
     return records

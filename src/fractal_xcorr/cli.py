@@ -156,8 +156,9 @@ def _add_common_args(p, scales=True):
     p.add_argument("--q", type=float, action="append", default=None,
                    help="fluctuation order, repeatable (default 2 and 4)")
     if scales:
-        p.add_argument("--scales", default=DEFAULT_SCALES,
-                       help=f"comma list or log:LO:HI:NUM (default {DEFAULT_SCALES})")
+        p.add_argument("--scales", default=None,
+                       help=f"comma list or log:LO:HI:NUM (default {DEFAULT_SCALES}, "
+                            "clipped to N/4)")
     p.add_argument("--seed", type=int, default=None,
                    help=f"master seed (falls back to ${SEED_ENV_VAR}, then 0)")
 
@@ -218,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _detrend_configs(args, n: int):
     qs = args.q if args.q else [2.0, 4.0]
-    scales = _clip_grid(_parse_scales(args.scales), n, explicit=args.scales != DEFAULT_SCALES)
+    scales = _clip_grid(_parse_scales(DEFAULT_SCALES if args.scales is None else args.scales), n,
+                        explicit=args.scales is not None)
     return [DetrendConfig(scale_grid=scales, q=q, theta=args.theta) for q in qs]
 
 

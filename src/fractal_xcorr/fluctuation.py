@@ -48,8 +48,8 @@ class DetrendConfig:
             raise InputError(f"smallest scale {grid[0]} < {MIN_SCALE}")
         if not 0.0 <= self.theta <= 1.0:
             raise InputError(f"theta={self.theta} outside [0, 1]")
-        if self.q == 0:
-            raise InputError("fluctuation order q must be nonzero")
+        if self.q == 0 or not math.isfinite(self.q):
+            raise InputError(f"fluctuation order q={self.q} must be finite and nonzero")
         object.__setattr__(self, "scale_grid", grid)
 
     def check_length(self, n: int):
@@ -106,7 +106,7 @@ class WindowedSeries:
 
     @property
     def stop(self) -> int:
-        return self.start + self.values.size
+        return self.start + self.values.shape[-1]
 
 
 def _as_array(series) -> np.ndarray:
@@ -121,37 +121,40 @@ def moving_average(profile, n: int, theta: float = 0.5) -> WindowedSeries:
     Returns the averages on the index range where the full window fits,
     i.e. positions floor((n-1)*(1-theta)) .. N-1-floor((n-1)*theta)
     (0-based); the window for position t spans t-ceil((n-1)*(1-theta)) ..
-    t+floor((n-1)*theta).
+    t+floor((n-1)*theta).  A profile of shape (..., N) is averaged along its
+    last axis, each row to the same bits as on its own.
     """
     x = _as_array(profile)
-    N = x.size
+    N = x.shape[-1]
     if not 2 <= n <= N:
         raise InputError(f"window {n} outside [2, {N}]")
     if not 0.0 <= theta <= 1.0:
         raise InputError(f"theta={theta} outside [0, 1]")
     g = math.floor((n - 1) * theta)
-    if n <= DIRECT_MA_MAX_WINDOW:
-        ma = np.convolve(x, np.full(n, 1.0 / n), mode="valid")
-    else:
+    if n > DIRECT_MA_MAX_WINDOW:
         ma = _running_mean(x, n)
+    else:  # np.convolve is 1-D only
+        w = np.full(n, 1.0 / n)
+        ma = np.array([np.convolve(r, w, mode="valid")
+                       for r in x.reshape(-1, N)]).reshape(x.shape[:-1] + (N - n + 1,))
     return WindowedSeries(ma, start=n - 1 - g)
 
 
 def _running_mean(x: np.ndarray, n: int) -> np.ndarray:
-    """Means of every window of n points in O(N).
+    """Means of every window of n points along the last axis in O(N).
 
     A running window sum (Tsujimoto et al., PRE 93, 053304, 2016): each sum
     is the previous one plus x[t+n-1] - x[t-1].  The rounding error of every
     step is recovered (Fast2Sum: step - (sum[t] - sum[t-1])) and summed back
     in, so the error stays near one rounding of the window sum for any N.
     """
-    steps = np.empty(x.size - n + 1)
-    steps[0] = x[:n].sum()
-    np.subtract(x[n:], x[:-n], out=steps[1:])
-    sums = np.cumsum(steps)
-    steps[0] = 0.0
-    steps[1:] -= np.diff(sums)
-    sums += np.cumsum(steps)
+    steps = np.empty(x.shape[:-1] + (x.shape[-1] - n + 1,))
+    steps[..., 0] = x[..., :n].sum(axis=-1)
+    np.subtract(x[..., n:], x[..., :-n], out=steps[..., 1:])
+    sums = np.cumsum(steps, axis=-1)
+    steps[..., 0] = 0.0
+    steps[..., 1:] -= np.diff(sums, axis=-1)
+    sums += np.cumsum(steps, axis=-1)
     sums /= n
     return sums
 
@@ -160,7 +163,9 @@ def dma_residual(profile, s: int, theta: float = 0.5) -> WindowedSeries:
     """Profile minus its moving average, on the valid index range."""
     x = _as_array(profile)
     ma = moving_average(x, s, theta)
-    return WindowedSeries(x[ma.start : ma.stop] - ma.values, start=ma.start)
+    # ma.values is a fresh array, so it can take the residual
+    resid = np.subtract(x[..., ma.start : ma.stop], ma.values, out=ma.values)
+    return WindowedSeries(resid, start=ma.start)
 
 
 def n_segments(N: int, s: int) -> int:
@@ -196,44 +201,49 @@ def segment_cross(seg_x, seg_y) -> float:
     return float(np.mean(a * b))
 
 
+def _segment_moments(rx: np.ndarray, ry: np.ndarray):
+    """(rms_x, rms_y, cross) of residual segments along the last axis;
+    overwrites rx."""
+    fx = np.sqrt(np.mean(rx**2, axis=-1))
+    fy = np.sqrt(np.mean(ry**2, axis=-1))
+    rx *= ry
+    return fx, fy, np.mean(rx, axis=-1)
+
+
 def _dma_segment_stats(px: np.ndarray, py: np.ndarray, s: int, theta: float):
-    """Per-segment (rms_x, rms_y, cross) arrays for one scale."""
-    N = px.size
+    """Per-segment (rms_x, rms_y, cross) arrays for one scale; profiles of
+    shape (..., N) give arrays of shape (..., n_segments)."""
+    N = px.shape[-1]
     ns = n_segments(N, s)
     if ns < 1:
         raise InputError(f"scale {s} leaves no full segment for N={N}")
-    rx = dma_residual(px, s, theta).values[: ns * s].reshape(ns, s)
-    ry = dma_residual(py, s, theta).values[: ns * s].reshape(ns, s)
-    fx = np.sqrt(np.mean(rx**2, axis=1))
-    fy = np.sqrt(np.mean(ry**2, axis=1))
-    cross = np.mean(rx * ry, axis=1)
-    return fx, fy, cross
+    rx, ry = (dma_residual(p, s, theta).values[..., : ns * s].reshape(p.shape[:-1] + (ns, s))
+              for p in (px, py))
+    return _segment_moments(rx, ry)
 
 
 def _dcca_segment_stats(px: np.ndarray, py: np.ndarray, s: int):
     """Box stats for the box-splitting variant: forward and backward passes
-    pooled, least-squares linear trend removed from each box."""
-    N = px.size
+    pooled, least-squares linear trend removed from each box.  Profiles of
+    shape (..., N) give arrays of shape (..., 2 * floor(N/s))."""
+    N = px.shape[-1]
     ns = N // s
     if ns < 1:
         raise InputError(f"scale {s} exceeds series length {N}")
-    boxes_x = np.concatenate([px[: ns * s].reshape(ns, s), px[N - ns * s :].reshape(ns, s)])
-    boxes_y = np.concatenate([py[: ns * s].reshape(ns, s), py[N - ns * s :].reshape(ns, s)])
     t = np.arange(s, dtype=float)
     t_dev = t - t.mean()
     var_t = np.mean(t_dev**2)
 
-    def _detrend(boxes):
-        means = boxes.mean(axis=1, keepdims=True)
-        slopes = (boxes * t_dev).mean(axis=1, keepdims=True) / var_t
-        return boxes - means - slopes * t_dev
+    def _detrend(p):
+        shape = p.shape[:-1] + (ns, s)
+        boxes = np.concatenate([p[..., : ns * s].reshape(shape),
+                                p[..., N - ns * s :].reshape(shape)], axis=-2)
+        slopes = (boxes * t_dev).mean(axis=-1, keepdims=True) / var_t
+        boxes -= boxes.mean(axis=-1, keepdims=True)
+        boxes -= slopes * t_dev
+        return boxes
 
-    rx = _detrend(boxes_x)
-    ry = _detrend(boxes_y)
-    fx = np.sqrt(np.mean(rx**2, axis=1))
-    fy = np.sqrt(np.mean(ry**2, axis=1))
-    cross = np.mean(rx * ry, axis=1)
-    return fx, fy, cross
+    return _segment_moments(_detrend(px), _detrend(py))
 
 
 def aggregate_q(scale: int, q: float, fx: np.ndarray, fy: np.ndarray,
@@ -255,29 +265,54 @@ def aggregate_q(scale: int, q: float, fx: np.ndarray, fy: np.ndarray,
                           f_xy_q=f_xy_q, n_segments=fx.size, n_skipped=n_skipped)
 
 
-def q_fluctuations(pair: AlignedPair, cfg: DetrendConfig) -> list:
-    """q-th-order DMA fluctuation functions of a pair on the scale grid."""
+def rho_q_rows(fx: np.ndarray, fy: np.ndarray, cross: np.ndarray, qs) -> np.ndarray:
+    """Capped coefficient of every row and order at once: per-segment
+    statistics of shape (..., n_seg) give shape (..., len(qs)).
+
+    Row by row this is aggregate_q followed by rho_q_dmca, to the same bits
+    unless segments are skipped at q < 0 (the kept ones are then summed in
+    another order).  NaN marks a cell where those raise (F_x^q F_y^q <= 0,
+    or no segment left at q < 0) or give NaN.
+    """
+    num = np.empty(fx.shape[:-1] + (len(qs),))
+    denom = np.empty_like(num)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i, q in enumerate(qs):
+            q = float(q)  # a scalar power takes numpy's square/copy shortcuts, as in aggregate_q
+            keep = (fx > 0) & (fy > 0) if q < 0 else None
+            denom[..., i] = _kept_mean(fx**q, keep) * _kept_mean(fy**q, keep)
+            num[..., i] = _kept_mean(np.sign(cross) * np.abs(cross) ** (q / 2.0), keep)
+        raw = num / np.sqrt(np.where(denom > 0.0, denom, np.nan))
+        return np.where(np.abs(raw) > 1.0, 1.0 / raw, raw)
+
+
+def _kept_mean(v: np.ndarray, keep) -> np.ndarray:
+    """Mean along the last axis over the entries where keep holds (all of
+    them if keep is None)."""
+    if keep is None:
+        return v.mean(axis=-1)
+    return np.where(keep, v, 0.0).sum(axis=-1) / keep.sum(axis=-1)
+
+
+def q_fluctuations(pair: AlignedPair, cfg: DetrendConfig, method: str = "q-DMCA") -> list:
+    """q-th-order fluctuation functions of a pair on the scale grid, by the
+    moving-average (q-DMCA) or the box-splitting (q-DCCA) method."""
+    if method not in ("q-DMCA", "q-DCCA"):
+        raise InputError(f"unknown method {method!r}")
     cfg.check_length(len(pair))
     px = np.cumsum(pair.x.values)
     py = np.cumsum(pair.y.values)
     out = []
     for s in cfg.scale_grid:
-        fx, fy, cross = _dma_segment_stats(px, py, s, cfg.theta)
-        out.append(aggregate_q(s, cfg.q, fx, fy, cross))
+        stats = (_dma_segment_stats(px, py, s, cfg.theta) if method == "q-DMCA"
+                 else _dcca_segment_stats(px, py, s))
+        out.append(aggregate_q(s, cfg.q, *stats))
     return out
 
 
 def q_fluctuations_dcca(pair: AlignedPair, scale_grid, q: float) -> list:
     """Box-splitting (linear-detrending) fluctuation functions of a pair."""
-    cfg = DetrendConfig(scale_grid=tuple(scale_grid), q=q)
-    cfg.check_length(len(pair))
-    px = np.cumsum(pair.x.values)
-    py = np.cumsum(pair.y.values)
-    out = []
-    for s in cfg.scale_grid:
-        fx, fy, cross = _dcca_segment_stats(px, py, s)
-        out.append(aggregate_q(s, q, fx, fy, cross))
-    return out
+    return q_fluctuations(pair, DetrendConfig(scale_grid=tuple(scale_grid), q=q), "q-DCCA")
 
 
 def rho_q_dmca(fs: FluctuationSet):
@@ -320,14 +355,5 @@ def rho_dmca_classic(pair: AlignedPair, s: int, theta: float = 0.5) -> float:
 def correlation_profile(pair: AlignedPair, cfg: DetrendConfig,
                         method: str = "q-DMCA") -> CorrelationProfile:
     """Scale-wise coefficient profile for one of the two estimators."""
-    if method == "q-DMCA":
-        sets = q_fluctuations(pair, cfg)
-    elif method == "q-DCCA":
-        sets = q_fluctuations_dcca(pair, cfg.scale_grid, cfg.q)
-    else:
-        raise InputError(f"unknown method {method!r}")
-    points = []
-    for fs in sets:
-        rho, capped = rho_q_dmca(fs)
-        points.append((fs.scale, rho, capped))
+    points = [(fs.scale, *rho_q_dmca(fs)) for fs in q_fluctuations(pair, cfg, method)]
     return CorrelationProfile(method=method, q=cfg.q, points=tuple(points))

@@ -49,8 +49,8 @@ class McArfimaSpec:
                     raise InputError(f"{name}={value!r} is not {label}")
         for name in ("d1", "d2", "d3", "d4"):
             d = getattr(self, name)
-            if not -0.5 < d < 0.5:
-                raise InputError(f"{name}={d} outside (-0.5, 0.5)")
+            if not -0.5 < d < 0.5 or d == 0.0:
+                raise InputError(f"{name}={d} outside (-0.5, 0) u (0, 0.5)")
         try:
             sds = tuple(float(s) for s in self.innovation_sd)
         except (TypeError, ValueError):

@@ -10,11 +10,9 @@ from .errors import DegenerateFluctuationError, InputError
 from .fluctuation import (
     CorrelationProfile,
     DetrendConfig,
-    q_fluctuations,
-    q_fluctuations_dcca,
-    rho_q_dmca,
     _dma_segment_stats,
     aggregate_q,
+    correlation_profile,
 )
 from .series import AlignedPair, TimeSeries
 
@@ -61,6 +59,15 @@ def log_scales(lo: int, hi: int, num: int = DEFAULT_GRID_POINTS) -> tuple:
     return tuple(int(s) for s in grid)
 
 
+def ols_fit(x: np.ndarray, y: np.ndarray) -> tuple:
+    """Closed-form OLS slope and intercept of y on x along the last axis;
+    y of shape (..., len(x)) fits every leading row in one call."""
+    x_mean = x.mean()
+    x_dev = x - x_mean
+    slope = ((y - y.mean(axis=-1, keepdims=True)) * x_dev).sum(axis=-1) / (x_dev**2).sum()
+    return slope, y.mean(axis=-1) - slope * x_mean
+
+
 def fit_power_law(points, fit_range=None) -> ScalingFit:
     """Fit value ~ scale^exponent by OLS on the log-log pairs.
 
@@ -79,7 +86,7 @@ def fit_power_law(points, fit_range=None) -> ScalingFit:
             raise InputError(f"non-positive value {v} at scale {s} inside fit range")
     ls = np.log([s for s, _ in used])
     lv = np.log([v for _, v in used])
-    slope, intercept = np.polyfit(ls, lv, 1)
+    slope, intercept = ols_fit(ls, lv)
     resid = lv - (slope * ls + intercept)
     sst = float(np.sum((lv - lv.mean()) ** 2))
     r2 = 1.0 if sst == 0.0 else max(0.0, 1.0 - float(np.sum(resid**2)) / sst)
@@ -118,25 +125,9 @@ def estimate_h_rho(pair: AlignedPair, cfg: DetrendConfig,
     coherency exponent is slope / (2q).  Capping is applied to rho before
     squaring.  Any rho(s) = 0 inside the range is an error.
     """
-    if method == "q-DMCA":
-        sets = q_fluctuations(pair, cfg)
-    elif method == "q-DCCA":
-        sets = q_fluctuations_dcca(pair, cfg.scale_grid, cfg.q)
-    else:
-        raise InputError(f"unknown method {method!r}")
-    points = []
-    rho_points = []
-    for fs in sets:
-        rho, capped = rho_q_dmca(fs)
-        rho_points.append((fs.scale, rho, capped))
+    profile = correlation_profile(pair, cfg, method)
+    for s, rho, _ in profile.points:
         if rho == 0.0:
-            raise DegenerateFluctuationError(
-                f"zero coherency in fit range at scale {fs.scale}"
-            )
-        points.append((fs.scale, rho**2))
-    fit = fit_power_law(points)
-    return CoherencyEstimate(
-        h_rho=fit.exponent / (2.0 * cfg.q),
-        per_scale_rho=CorrelationProfile(method=method, q=cfg.q, points=tuple(rho_points)),
-        fit=fit,
-    )
+            raise DegenerateFluctuationError(f"zero coherency in fit range at scale {s}")
+    fit = fit_power_law([(s, rho**2) for s, rho, _ in profile.points])
+    return CoherencyEstimate(h_rho=fit.exponent / (2.0 * cfg.q), per_scale_rho=profile, fit=fit)

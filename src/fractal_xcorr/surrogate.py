@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFluctuationError, InputError
-from .fluctuation import DetrendConfig, _dma_segment_stats, aggregate_q, rho_q_dmca
+from .fluctuation import DetrendConfig, _dma_segment_stats, rho_q_rows
 from .series import AlignedPair, TimeSeries
 
 MIN_SURROGATE_LENGTH = 32
@@ -105,15 +105,9 @@ def _rho_all_scales(px, py, cfg: DetrendConfig, qs):
     """rho per (q, scale), shape (len(qs), len(grid)), or None if any cell
     is degenerate.  Segment statistics are computed once per scale and
     aggregated for every q."""
-    rhos = np.empty((len(qs), len(cfg.scale_grid)))
-    for j, s in enumerate(cfg.scale_grid):
-        fx, fy, cross = _dma_segment_stats(px, py, s, cfg.theta)
-        for i, q in enumerate(qs):
-            try:
-                rhos[i, j], _ = rho_q_dmca(aggregate_q(s, q, fx, fy, cross))
-            except DegenerateFluctuationError:
-                return None
-    return rhos
+    rhos = np.stack([rho_q_rows(*_dma_segment_stats(px, py, s, cfg.theta), qs)
+                     for s in cfg.scale_grid], axis=-1)
+    return None if np.isnan(rhos).any() else rhos
 
 
 def surrogate_test(pair: AlignedPair, cfg: DetrendConfig, n_surrogates: int = 1000,

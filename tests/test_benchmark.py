@@ -2,7 +2,17 @@ import numpy as np
 import pytest
 
 from fractal_xcorr import BenchmarkConfig, InputError, run_benchmark, stability_sweep
+from fractal_xcorr import benchmark as bench_mod
 from fractal_xcorr.benchmark import _cell_seed
+from fractal_xcorr.errors import DegenerateFluctuationError
+from fractal_xcorr.fluctuation import (
+    _dcca_segment_stats,
+    _dma_segment_stats,
+    aggregate_q,
+    rho_q_dmca,
+)
+from fractal_xcorr.mc_arfima import McArfimaSpec
+from fractal_xcorr.scaling import log_scales
 
 
 SMALL = BenchmarkConfig(
@@ -92,3 +102,149 @@ class TestStabilitySweep:
         for r in records:
             assert np.isfinite(r["mean_h_rho"])
             assert r["n_effective"] == 10
+
+
+# --- the batched replication path against a per-replication reference -------
+
+WIDE = BenchmarkConfig(
+    lengths=(500, 1000), cross_corrs=(0.1, 0.9), qs=(2.0, 4.0, -2.0), replications=10,
+    dcca_n_min=(10, 50), dmca_s_max=(20, 100), master_seed=0,
+)
+H_RHO = -0.2
+
+
+def _reference_h_rho(stats, scales, q):
+    """One replication's estimate as a loop over scales, fitted by np.polyfit;
+    None where the estimate is degenerate."""
+    points = []
+    for s in scales:
+        try:
+            rho, _ = rho_q_dmca(aggregate_q(s, q, *stats[s]))
+        except DegenerateFluctuationError:
+            return None
+        if rho == 0.0 or rho**2 <= 0.0:
+            return None
+        points.append((s, rho**2))
+    if len(points) < 3:
+        return None
+    slope, _ = np.polyfit(np.log([s for s, _ in points]), np.log([v for _, v in points]), 1)
+    return slope / (2.0 * q)
+
+
+def _reference_cell(cfg, length, rho, grids):
+    """{(method, q, param): [estimate or None per replication]}, one sample at a time."""
+    out = {}
+    for rep in range(cfg.replications):
+        sample = bench_mod.generate(McArfimaSpec(
+            cross_corr=rho, length=length, truncation=cfg.truncation,
+            seed=bench_mod._cell_seed(cfg.master_seed, length, rho, rep)))
+        px, py = np.cumsum(sample.x.values), np.cumsum(sample.y.values)
+        for method, by_param in grids.items():
+            scales = sorted({s for g in by_param.values() for s in g})
+            if method == "DMCA":
+                stats = {s: _dma_segment_stats(px, py, s, cfg.theta) for s in scales}
+            else:
+                stats = {s: _dcca_segment_stats(px, py, s) for s in scales}
+            for param, grid in by_param.items():
+                for q in cfg.qs:
+                    out.setdefault((method, q, param), []).append(
+                        _reference_h_rho(stats, grid, q))
+    return out
+
+
+def _benchmark_grids(cfg, length):
+    hi = length // 5
+    return {"DMCA": {p: log_scales(10, p) for p in cfg.dmca_s_max},
+            "DCCA": {p: log_scales(p, hi) for p in cfg.dcca_n_min if p < hi}}
+
+
+def _reference_run_benchmark(cfg):
+    cells = {}
+    for length in cfg.lengths:
+        for rho in cfg.cross_corrs:
+            for (method, q, param), ests in _reference_cell(
+                    cfg, length, rho, _benchmark_grids(cfg, length)).items():
+                vals = np.array([e for e in ests if e is not None])
+                if vals.size:
+                    cells[(method, length, rho, q, param)] = (
+                        vals.mean() - H_RHO, vals.std(), vals.size)
+    return cells
+
+
+def _as_cells(reports):
+    return {(r.method, r.length, r.cross_corr, r.q, r.range_param): (r.bias, r.sd, r.n_effective)
+            for r in reports}
+
+
+def _assert_same_cells(got, want):
+    assert set(got) == set(want)
+    for key, (bias, sd, n) in want.items():
+        assert got[key][2] == n, key
+        assert abs(got[key][0] - bias) <= 1e-12, key
+        assert abs(got[key][1] - sd) <= 1e-12, key
+
+
+class TestBatchedReplications:
+    @pytest.mark.parametrize("cfg", [SMALL, WIDE], ids=["small", "wide"])
+    def test_run_benchmark_matches_per_replication_loop(self, cfg):
+        _assert_same_cells(_as_cells(run_benchmark(cfg)), _reference_run_benchmark(cfg))
+
+    def test_stability_sweep_matches_per_replication_loop(self):
+        cfg = BenchmarkConfig(lengths=(500,), cross_corrs=(0.5,), qs=(2.0, -2.0),
+                              replications=10, master_seed=0)
+        want = []
+        for length in (500, 1000):
+            grid = log_scales(10, min(1000, length // 5))
+            ests = _reference_cell(cfg, length, 0.5, {"DMCA": {0: grid}, "DCCA": {0: grid}})
+            for (method, q, _), e in sorted(ests.items()):
+                vals = np.array([v for v in e if v is not None])
+                want.append((method, q, length, vals.mean(), vals.size))
+        got = stability_sweep((500, 1000), cfg)
+        assert [(r["method"], r["q"], r["N"], r["n_effective"]) for r in got] == [
+            (m, q, n, k) for m, q, n, _, k in want]
+        for r, w in zip(got, want):
+            assert abs(r["mean_h_rho"] - w[3]) <= 1e-12
+
+    @pytest.mark.parametrize("points", [3, 3 * 500])
+    def test_results_do_not_depend_on_block_size(self, monkeypatch, points):
+        whole = [r.to_dict() for r in run_benchmark(WIDE)]
+        monkeypatch.setattr(bench_mod, "BLOCK_POINTS", points)
+        assert [r.to_dict() for r in run_benchmark(WIDE)] == whole
+
+    def test_degenerate_replication_drops_out(self, monkeypatch):
+        cfg = BenchmarkConfig(lengths=(500,), cross_corrs=(0.9,), qs=(-2.0, 2.0),
+                              replications=10, dcca_n_min=(10,), dmca_s_max=(20,))
+        flat_seed = bench_mod._cell_seed(0, 500, 0.9, 3)
+        generate = bench_mod.generate
+
+        def flat_x_for_one_seed(spec):
+            sample = generate(spec)
+            if spec.seed == flat_seed:
+                sample.x.values[:] = 0.0
+            return sample
+
+        monkeypatch.setattr(bench_mod, "generate", flat_x_for_one_seed)
+        want = _reference_cell(cfg, 500, 0.9, _benchmark_grids(cfg, 500))
+        assert all(ests[3] is None for ests in want.values())
+        got = _as_cells(run_benchmark(cfg))
+        for method, q, param in want:
+            assert got[(method, 500, 0.9, q, param)][2] == 9
+        _assert_same_cells(got, _reference_run_benchmark(cfg))
+
+    def test_replications_go_through_in_blocks(self, monkeypatch):
+        rows = []
+        estimate_all = bench_mod._estimate_all
+
+        def record(px, py, cfg, length, grids=None):
+            rows.append(px.shape)
+            return estimate_all(px, py, cfg, length, grids)
+
+        monkeypatch.setattr(bench_mod, "_estimate_all", record)
+        monkeypatch.setattr(bench_mod, "BLOCK_POINTS", 4 * 500)
+        run_benchmark(SMALL)
+        assert rows == [(4, 500), (4, 500), (2, 500)]
+
+    @pytest.mark.parametrize("q", [0.0, float("nan"), float("inf"), -float("inf")])
+    def test_zero_and_non_finite_orders_rejected(self, q):
+        with pytest.raises(InputError, match="finite and nonzero"):
+            BenchmarkConfig(qs=(2.0, q))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fractal_xcorr import DetrendConfig, TimeSeries, correlation_profile, log_returns
+from fractal_xcorr import DetrendConfig, TimeSeries, correlation_profile, log_returns, log_scales
 from fractal_xcorr import surrogate
 from fractal_xcorr.cli import main
 from fractal_xcorr.series import AlignedPair, load_csv
@@ -81,6 +81,16 @@ class TestSimulate:
         assert err.count("\n") == 1
         assert not (tmp_path / "simulated_x.csv").exists()
 
+    @pytest.mark.parametrize("d", ["d1", "d2", "d3", "d4"])
+    def test_spec_json_zero_d_exit_2(self, tmp_path, capsys, d):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({d: 0.0, "length": 300, "truncation": 500}))
+        rc = main(["simulate", "--spec-json", str(spec), "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: {d}=0.0 outside (-0.5, 0) u (0, 0.5)\n"
+        assert not (tmp_path / "simulated_x.csv").exists()
+
     def test_seed_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FRACTAL_XCORR_SEED", "42")
         out = tmp_path / "env"
@@ -127,6 +137,16 @@ class TestAnalyze:
         rc = main(["analyze", str(xp), str(yp), "--column", "close",
                    "--scales", "10,500", "--out-dir", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("scales", [
+        "log:20:3162:10", ",".join(str(s) for s in log_scales(20, 3162, 10))])
+    def test_default_grid_typed_out_is_explicit(self, price_files, tmp_path, capsys, scales):
+        xp, yp = price_files
+        rc = main(["analyze", str(xp), str(yp), "--column", "close",
+                   "--scales", scales, "--out-dir", str(tmp_path / "a")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: scales above N/4") and err.count("\n") == 1
 
     def test_default_grid_clipped_not_fatal(self, price_files, tmp_path):
         # default grid tops out at 3162, far above N/4 for N=399
@@ -177,6 +197,40 @@ class TestBenchmarkCommand:
         assert rc == 2
         assert err.startswith(f"error: {flag}: ")
         assert not (tmp_path / "benchmark_manifest.json").exists()
+
+
+    @pytest.mark.parametrize("lengths", ["0", "500,-5"])
+    def test_non_positive_length_exit_2(self, tmp_path, capsys, lengths):
+        rc = main(["benchmark", "--reps", "10", "--lengths", lengths, "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: lengths") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("q", ["0", "nan", "inf", "-inf"])
+    def test_zero_or_non_finite_order_exit_2(self, tmp_path, capsys, q):
+        rc = main(["benchmark", "--reps", "10", "--lengths", "500", "--cross-corrs", "0.5",
+                   "--n-min", "10", "--s-max", "20", f"--q={q}", "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: fluctuation orders") and err.count("\n") == 1
+        assert not (tmp_path / "benchmark.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["test", "--q", "nan", "--surrogates", "100"],
+    ["analyze", "--q=-inf"],
+    ["analyze", "--q=nan"],
+    ["portfolio", "--q=inf"],
+    ["analyze", "--theta", "nan"],
+])
+def test_non_finite_order_or_theta_exit_2(price_files, tmp_path, capsys, argv):
+    xp, yp = price_files
+    rc = main([argv[0], str(xp), str(yp), "--column", "close", "--scales", "10,20", *argv[1:],
+               "--out-dir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list((tmp_path / "o").glob("*.json"))
 
 
 class TestSurrogateCommand:

@@ -16,8 +16,12 @@ from fractal_xcorr import (
 )
 from fractal_xcorr.fluctuation import (
     FluctuationSet,
+    _dcca_segment_stats,
+    _dma_segment_stats,
+    aggregate_q,
     detrended_segments,
     n_segments,
+    rho_q_rows,
     segment_cross,
     segment_rms,
 )
@@ -299,3 +303,109 @@ class TestCorrelationProfile:
         cfg = DetrendConfig(scale_grid=(10, 25), q=2.0)
         with pytest.raises(InputError):
             correlation_profile(pair_1000, cfg, method="DFA")
+
+
+class TestBatchedSegmentStats:
+    """Profiles stacked along a leading axis give, row for row, the bits of
+    the 1-D call."""
+
+    @staticmethod
+    def _stack(n, rows=8, seed=3):
+        rng = np.random.default_rng(seed)
+        return (np.cumsum(rng.standard_normal((rows, n)), axis=-1),
+                np.cumsum(rng.standard_normal((rows, n)), axis=-1))
+
+    @pytest.mark.parametrize("n", [500, 1000, 5000])
+    def test_rows_bit_identical_to_1d_calls(self, n):
+        px, py = self._stack(n)
+        for s in (10, 16, 33, 64, 65, 100, n // 5):
+            calls = [(_dcca_segment_stats, ())] + [(_dma_segment_stats, (th,))
+                                                   for th in (0.0, 0.5, 1.0)]
+            for fn, extra in calls:
+                batched = fn(px, py, s, *extra)
+                for i in range(px.shape[0]):
+                    row = fn(px[i], py[i], s, *extra)
+                    for b, r in zip(batched, row):
+                        assert b.shape == (px.shape[0],) + r.shape
+                        assert np.array_equal(b[i], r), (fn.__name__, s, extra, i)
+
+    def test_moving_average_any_leading_shape(self):
+        px, _ = self._stack(5000, rows=6)
+        for s in (16, 64, 65, 1000):
+            stack = moving_average(px.reshape(2, 3, -1), s, 0.3)
+            assert stack.values.shape == (2, 3, 5000 - s + 1)
+            assert stack.stop == moving_average(px[0], s, 0.3).stop
+            for i, row in enumerate(px):
+                assert np.array_equal(stack.values.reshape(6, -1)[i],
+                                      moving_average(row, s, 0.3).values)
+
+    def test_profiles_left_unchanged(self):
+        px, py = self._stack(1000, rows=2)
+        before = px.copy(), py.copy()
+        _dma_segment_stats(px, py, 100, 0.5)
+        _dcca_segment_stats(px, py, 200)
+        assert np.array_equal(px, before[0]) and np.array_equal(py, before[1])
+
+
+class TestRhoQRows:
+    QS = (2.0, 4.0, 3.0, -2.0, -1.0)
+
+    @staticmethod
+    def _scalar(fx, fy, cross, q):
+        try:
+            return rho_q_dmca(aggregate_q(10, q, fx, fy, cross))[0]
+        except DegenerateFluctuationError:
+            return np.nan
+
+    def test_matches_aggregate_q_and_rho_q_dmca(self):
+        rng = np.random.default_rng(8)
+        fx, fy = np.abs(rng.standard_normal((2, 6, 40)))
+        cross = rng.standard_normal((6, 40)) * fx * fy
+        fx[1, :5] = 0.0  # skipped at q < 0, counted at q > 0
+        fy[2, ::3] = 0.0
+        fx[3] = 0.0  # degenerate at every order
+        fx[4, :20] = 0.0
+        fy[4, 20:] = 0.0  # no segment left at q < 0, F_x^q F_y^q > 0 at q > 0
+        got = rho_q_rows(fx, fy, cross, self.QS)
+        assert got.shape == (6, len(self.QS))
+        for i in range(6):
+            for k, q in enumerate(self.QS):
+                want = self._scalar(fx[i], fy[i], cross[i], q)
+                if np.isnan(want):
+                    assert np.isnan(got[i, k]), (i, q)
+                else:
+                    assert abs(got[i, k] - want) <= 1e-14 * max(1.0, abs(want)), (i, q)
+        assert np.isnan(got[3]).all()
+        assert np.isnan(got[4, 3:]).all() and not np.isnan(got[4, :3]).any()
+
+    def test_bit_identical_without_skipped_segments(self):
+        rng = np.random.default_rng(4)
+        px, py = np.cumsum(rng.standard_normal((2, 6, 3000)), axis=-1)
+        qs = (2.0, 4.0, 3.0, 0.5, 1.0, -2.0, -1.0, -4.0)
+        for s in (10, 33, 100, 250):
+            for stats in (_dma_segment_stats(px, py, s, 0.5), _dcca_segment_stats(px, py, s)):
+                got = rho_q_rows(*stats, qs)
+                for i in range(6):
+                    for k, q in enumerate(qs):
+                        assert got[i, k] == self._scalar(*(v[i] for v in stats), q), (s, i, q)
+
+    def test_capped_branch(self):
+        # |F_xy^q| > sqrt(F_x^q F_y^q) at q < 0 returns the reciprocal
+        fx = np.array([[1.0, 2.0]])
+        fy = np.array([[1.0, 2.0]])
+        cross = np.array([[0.5, 0.5]])
+        got = rho_q_rows(fx, fy, cross, (-2.0,))[0, 0]
+        assert got == pytest.approx(self._scalar(fx[0], fy[0], cross[0], -2.0), rel=1e-15)
+        assert abs(got) <= 1.0
+
+
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize("q", [float("nan"), float("inf"), -float("inf"), 0.0])
+    def test_order_rejected(self, q):
+        with pytest.raises(InputError, match="finite and nonzero"):
+            DetrendConfig(scale_grid=(10, 20), q=q)
+
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf")])
+    def test_theta_rejected(self, theta):
+        with pytest.raises(InputError):
+            DetrendConfig(scale_grid=(10, 20), theta=theta)

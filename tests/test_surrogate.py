@@ -13,6 +13,7 @@ from fractal_xcorr import (
 )
 from fractal_xcorr import surrogate
 from fractal_xcorr.errors import DegenerateFluctuationError
+from fractal_xcorr.fluctuation import _dma_segment_stats, aggregate_q, rho_q_dmca
 from fractal_xcorr.mc_arfima import McArfimaSpec, generate
 from fractal_xcorr.surrogate import SurrogateTestReport, _iaaft_ensemble, stars
 from conftest import gaussian_pair
@@ -164,6 +165,36 @@ class TestSurrogateTest:
             assert np.array_equal(a.surrogate_values, b.surrogate_values)
             assert a.observed_rho == b.observed_rho
             assert a.p_value == b.p_value
+
+    @staticmethod
+    def _rho_all_scales_reference(px, py, cfg, qs):
+        """One aggregate_q and rho_q_dmca call per (q, scale) cell."""
+        rhos = np.empty((len(qs), len(cfg.scale_grid)))
+        for j, s in enumerate(cfg.scale_grid):
+            stats = _dma_segment_stats(px, py, s, cfg.theta)
+            for i, q in enumerate(qs):
+                try:
+                    rhos[i, j], _ = rho_q_dmca(aggregate_q(s, q, *stats))
+                except DegenerateFluctuationError:
+                    return None
+        return rhos
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_scoring_bit_identical_to_per_cell_aggregation(self, seed):
+        pair = gaussian_pair(seed, 1000, corr=-0.5)
+        px, py = np.cumsum(pair.x.values), np.cumsum(pair.y.values)
+        cfg = DetrendConfig(scale_grid=(10, 16, 40, 100, 250))
+        qs = (2.0, 4.0, -2.0)
+        want = self._rho_all_scales_reference(px, py, cfg, qs)
+        assert np.array_equal(surrogate._rho_all_scales(px, py, cfg, qs), want)
+
+    def test_scoring_degenerate_pair_is_none(self):
+        px = np.zeros(600)
+        py = np.cumsum(gaussian_pair(1, 600).y.values)
+        cfg = DetrendConfig(scale_grid=(10, 20))
+        for qs in ((2.0,), (-2.0,), (2.0, -2.0)):
+            assert self._rho_all_scales_reference(px, py, cfg, qs) is None
+            assert surrogate._rho_all_scales(px, py, cfg, qs) is None
 
     def test_every_surrogate_degenerate_raises(self, monkeypatch):
         original = surrogate._rho_all_scales
