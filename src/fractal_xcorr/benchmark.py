@@ -14,12 +14,19 @@ n_min .. N/5; moving-average runs parameterized by s_max fit scales
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .fluctuation import _dcca_segment_stats, _dma_segment_stats, rho_q_rows
+from .fluctuation import (
+    MIN_SCALE,
+    _check_dma_scale,
+    _dcca_segment_stats,
+    _dma_segment_stats,
+    rho_q_rows,
+)
 from .mc_arfima import McArfimaSpec, generate
 from .scaling import log_scales, ols_fit
 
@@ -50,6 +57,9 @@ class BenchmarkConfig:
             raise InputError(f"lengths {list(self.lengths)} must be positive")
         if any(q == 0 or not math.isfinite(q) for q in self.qs):
             raise InputError(f"fluctuation orders {list(self.qs)} must be finite and nonzero")
+        for name, values in (("n_min", self.dcca_n_min), ("s_max", self.dmca_s_max)):
+            if any(v < MIN_SCALE for v in values):
+                raise InputError(f"{name} {list(values)} must be at least {MIN_SCALE}")
 
 
 @dataclass(frozen=True)
@@ -90,20 +100,16 @@ def _cell_seed(master_seed: int, length: int, cross_corr: float, rep: int) -> in
     return (base + rep) & ((1 << 63) - 1)
 
 
-def _estimate_all(px, py, cfg: BenchmarkConfig, length: int, grids=None):
+def _estimate_all(px, py, cfg: BenchmarkConfig, length: int, grids):
     """Coherency estimates for every (method, q, fit range) on a stack of
     profiles of shape (R, N): {(method, q, param): R estimates}.
 
-    grids maps method -> {param: fit scales}; by default the benchmark's fit
-    ranges.  Segment statistics are computed once per method and scale for
-    the whole stack and shared across orders and fit ranges.  NaN marks a
-    degenerate replication: F_x^q F_y^q <= 0 or rho = 0 at a fit scale, no
-    segment left at q < 0, or fewer than 3 fit scales.
+    grids maps method -> {param: fit scales}.  Segment statistics are
+    computed once per method and scale for the whole stack and shared across
+    orders and fit ranges.  NaN marks a degenerate replication: F_x^q F_y^q
+    <= 0 or rho = 0 at a fit scale, no segment left at q < 0, or fewer than
+    3 fit scales.
     """
-    if grids is None:
-        dcca_hi = length // DCCA_FIT_HI_DIVISOR
-        grids = {"DMCA": {p: log_scales(DMCA_FIT_S_LO, p) for p in cfg.dmca_s_max},
-                 "DCCA": {p: log_scales(p, dcca_hi) for p in cfg.dcca_n_min if p < dcca_hi}}
     qs = np.asarray(cfg.qs, dtype=float)
     out = {}
     for method, by_param in grids.items():
@@ -123,26 +129,111 @@ def _estimate_all(px, py, cfg: BenchmarkConfig, length: int, grids=None):
     return out
 
 
-def _replicate(cfg: BenchmarkConfig, length: int, cross_corr: float, grids=None) -> dict:
-    """_estimate_all over every replication of one cell, one block of
-    profiles at a time: {key: estimates without the degenerate ones}, for
-    every key with at least one."""
-    rows = max(1, BLOCK_POINTS // length)
-    blocks = []
-    for first in range(0, cfg.replications, rows):
-        samples = [generate(McArfimaSpec(
-            cross_corr=cross_corr, length=length, truncation=cfg.truncation,
-            seed=_cell_seed(cfg.master_seed, length, cross_corr, rep),
-        )) for rep in range(first, min(first + rows, cfg.replications))]
-        px = np.cumsum([s.x.values for s in samples], axis=-1)
-        py = np.cumsum([s.y.values for s in samples], axis=-1)
-        blocks.append(_estimate_all(px, py, cfg, length, grids))
-    out = {}
-    for key in sorted(blocks[0]):
-        ests = np.concatenate([b[key] for b in blocks])
-        if not np.isnan(ests).all():
-            out[key] = ests[~np.isnan(ests)]
-    return out
+def _check_cell(cfg: BenchmarkConfig, length: int, cross_corr: float, grids) -> None:
+    """Raise the InputError that the cell's replications would raise."""
+    McArfimaSpec(cross_corr=cross_corr, length=length, truncation=cfg.truncation)
+    for s in sorted({s for g in grids["DMCA"].values() for s in g}):
+        _check_dma_scale(length, s, cfg.theta)
+
+
+def benchmark_cells(cfg: BenchmarkConfig) -> list:
+    """(length, cross_corr, grids) for every cell of the config grid, in
+    report order, where grids maps method -> {param: fit scales}.
+
+    Raises the InputError that run_benchmark would raise for the grid, so a
+    config can be checked before anything is written or generated.
+    """
+    cells = []
+    for length in cfg.lengths:
+        dcca_hi = length // DCCA_FIT_HI_DIVISOR
+        grids = {"DMCA": {p: log_scales(DMCA_FIT_S_LO, p) for p in cfg.dmca_s_max},
+                 "DCCA": {p: log_scales(p, dcca_hi) for p in cfg.dcca_n_min if p < dcca_hi}}
+        for rho in cfg.cross_corrs:
+            _check_cell(cfg, length, rho, grids)
+            cells.append((length, rho, grids))
+    return cells
+
+
+def _replicate(cfg: BenchmarkConfig, length: int, cross_corr: float, grids,
+               first: int, stop: int) -> dict:
+    """_estimate_all on the profiles of replications first .. stop-1 of one
+    cell: one job of a study."""
+    samples = [generate(McArfimaSpec(
+        cross_corr=cross_corr, length=length, truncation=cfg.truncation,
+        seed=_cell_seed(cfg.master_seed, length, cross_corr, rep),
+    )) for rep in range(first, stop)]
+    px = np.cumsum([s.x.values for s in samples], axis=-1)
+    py = np.cumsum([s.y.values for s in samples], axis=-1)
+    return _estimate_all(px, py, cfg, length, grids)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on every platform
+        return os.cpu_count() or 1
+
+
+def _run_jobs(jobs: list):
+    """_replicate(*job) for every job, yielded in job order.
+
+    With at least two jobs and two CPUs the jobs run in a pool of forked
+    worker processes, largest (rows x N) first; otherwise one after another
+    in this process.  Every job seeds its own replications, so the results
+    do not depend on where or in which order the jobs run.
+    """
+    workers = min(_cpu_count(), len(jobs))
+    if workers < 2 or not hasattr(os, "fork"):
+        for job in jobs:
+            yield _replicate(*job)
+        return
+    import multiprocessing  # imported here to keep it off the start-up path
+    from concurrent.futures import ProcessPoolExecutor
+
+    def points(i):  # rows x N of job i
+        _, length, _, _, first, stop = jobs[i]
+        return (stop - first) * length
+
+    # fork, not spawn: a forked worker starts in milliseconds with the package
+    # already imported, where spawn would import numpy again in each worker.
+    # No Python thread of this package is running when the workers fork.
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = {i: pool.submit(_replicate, *jobs[i])
+                   for i in sorted(range(len(jobs)), key=points, reverse=True)}
+        try:
+            for i in range(len(jobs)):
+                yield futures[i].result()
+        except BaseException:  # a job failed or the consumer stopped: drop the rest
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def _cell_estimates(cfg: BenchmarkConfig, cells):
+    """(length, cross_corr, ests) for each cell (length, cross_corr, grids),
+    in order; ests maps every key with a non-degenerate estimate to those
+    estimates.
+
+    A cell's replications go through in blocks of at most BLOCK_POINTS
+    profile points; each block is one job, and the jobs of every cell run
+    together.
+    """
+    jobs, n_blocks = [], []
+    for length, rho, grids in cells:
+        rows = max(1, BLOCK_POINTS // length)
+        firsts = range(0, cfg.replications, rows)
+        jobs.extend((cfg, length, rho, grids, first, min(first + rows, cfg.replications))
+                    for first in firsts)
+        n_blocks.append(len(firsts))
+    results = _run_jobs(jobs)
+    for (length, rho, _), n in zip(cells, n_blocks):
+        blocks = [next(results) for _ in range(n)]
+        out = {}
+        for key in sorted(blocks[0]):
+            ests = np.concatenate([b[key] for b in blocks])
+            if not np.isnan(ests).all():
+                out[key] = ests[~np.isnan(ests)]
+        yield length, rho, out
 
 
 def run_benchmark(cfg: BenchmarkConfig, progress=None) -> list:
@@ -154,18 +245,17 @@ def run_benchmark(cfg: BenchmarkConfig, progress=None) -> list:
     """
     h_rho = McArfimaSpec().implied_h_rho
     reports = []
-    for length in cfg.lengths:
-        for rho in cfg.cross_corrs:
-            for (method, q, param), vals in _replicate(cfg, length, rho).items():
-                bias = float(vals.mean() - h_rho)
-                sd = float(vals.std())  # population SD across replications
-                reports.append(EstimatorReport(
-                    method=method, length=length, cross_corr=rho, q=q,
-                    range_param=param, bias=bias, sd=sd,
-                    mse=bias**2 + sd**2, n_effective=int(vals.size),
-                ))
-                if progress is not None:
-                    progress(reports[-1])
+    for length, rho, ests in _cell_estimates(cfg, benchmark_cells(cfg)):
+        for (method, q, param), vals in ests.items():
+            bias = float(vals.mean() - h_rho)
+            sd = float(vals.std())  # population SD across replications
+            reports.append(EstimatorReport(
+                method=method, length=length, cross_corr=rho, q=q,
+                range_param=param, bias=bias, sd=sd,
+                mse=bias**2 + sd**2, n_effective=int(vals.size),
+            ))
+            if progress is not None:
+                progress(reports[-1])
     return reports
 
 
@@ -181,10 +271,14 @@ def stability_sweep(lengths, cfg: BenchmarkConfig) -> list:
     correlation.  Returns records {method, q, N, mean_h_rho, n_effective}.
     """
     lo, hi = STABILITY_FIT_RANGE
-    records = []
+    rho = cfg.cross_corrs[-1]
+    cells = []
     for length in lengths:
         grid = log_scales(lo, min(hi, length // DCCA_FIT_HI_DIVISOR))
-        ests = _replicate(cfg, length, cfg.cross_corrs[-1], {"DMCA": {hi: grid}, "DCCA": {hi: grid}})
+        cells.append((length, rho, {"DMCA": {hi: grid}, "DCCA": {hi: grid}}))
+        _check_cell(cfg, *cells[-1])
+    records = []
+    for length, _, ests in _cell_estimates(cfg, cells):
         records.extend({"method": method, "q": q, "N": length, "mean_h_rho": float(vals.mean()),
                         "n_effective": int(vals.size)} for (method, q, _), vals in ests.items())
     return records

@@ -18,7 +18,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .benchmark import BenchmarkConfig, run_benchmark
+from .benchmark import BenchmarkConfig, benchmark_cells, run_benchmark
 from .errors import DegenerateFluctuationError, InputError
 from .fluctuation import DetrendConfig, correlation_profile
 from .mc_arfima import McArfimaSpec, generate
@@ -327,6 +327,7 @@ def cmd_benchmark(args, argv) -> int:
         master_seed=seed,
         theta=args.theta,
     )
+    benchmark_cells(cfg)  # reject a grid that cannot run before the manifest is written
     config = {k: list(v) if isinstance(v, tuple) else v
               for k, v in vars(cfg).items()}
     _, digest = _write_manifest(out_dir, "benchmark", config, seed, {}, argv, args.cwd)

@@ -126,10 +126,7 @@ def moving_average(profile, n: int, theta: float = 0.5) -> WindowedSeries:
     """
     x = _as_array(profile)
     N = x.shape[-1]
-    if not 2 <= n <= N:
-        raise InputError(f"window {n} outside [2, {N}]")
-    if not 0.0 <= theta <= 1.0:
-        raise InputError(f"theta={theta} outside [0, 1]")
+    _check_window(N, n, theta)
     g = math.floor((n - 1) * theta)
     if n > DIRECT_MA_MAX_WINDOW:
         ma = _running_mean(x, n)
@@ -138,6 +135,13 @@ def moving_average(profile, n: int, theta: float = 0.5) -> WindowedSeries:
         ma = np.array([np.convolve(r, w, mode="valid")
                        for r in x.reshape(-1, N)]).reshape(x.shape[:-1] + (N - n + 1,))
     return WindowedSeries(ma, start=n - 1 - g)
+
+
+def _check_window(N: int, n: int, theta: float) -> None:
+    if not 2 <= n <= N:
+        raise InputError(f"window {n} outside [2, {N}]")
+    if not 0.0 <= theta <= 1.0:
+        raise InputError(f"theta={theta} outside [0, 1]")
 
 
 def _running_mean(x: np.ndarray, n: int) -> np.ndarray:
@@ -210,13 +214,20 @@ def _segment_moments(rx: np.ndarray, ry: np.ndarray):
     return fx, fy, np.mean(rx, axis=-1)
 
 
+def _check_dma_scale(N: int, s: int, theta: float) -> None:
+    """Raise the InputError that the moving-average statistics of scale s
+    raise on profiles of N points, without computing them."""
+    if n_segments(N, s) < 1:
+        raise InputError(f"scale {s} leaves no full segment for N={N}")
+    _check_window(N, s, theta)
+
+
 def _dma_segment_stats(px: np.ndarray, py: np.ndarray, s: int, theta: float):
     """Per-segment (rms_x, rms_y, cross) arrays for one scale; profiles of
     shape (..., N) give arrays of shape (..., n_segments)."""
     N = px.shape[-1]
+    _check_dma_scale(N, s, theta)
     ns = n_segments(N, s)
-    if ns < 1:
-        raise InputError(f"scale {s} leaves no full segment for N={N}")
     rx, ry = (dma_residual(p, s, theta).values[..., : ns * s].reshape(p.shape[:-1] + (ns, s))
               for p in (px, py))
     return _segment_moments(rx, ry)

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,20 @@ def _as_cells(reports):
             for r in reports}
 
 
+def _flatten_x_of_replication(monkeypatch, length, rho, rep):
+    """Make generate return an all-zero x for one replication of master seed 0."""
+    flat_seed = bench_mod._cell_seed(0, length, rho, rep)
+    generate = bench_mod.generate
+
+    def flat_x_for_one_seed(spec):
+        sample = generate(spec)
+        if spec.seed == flat_seed:
+            sample.x.values[:] = 0.0
+        return sample
+
+    monkeypatch.setattr(bench_mod, "generate", flat_x_for_one_seed)
+
+
 def _assert_same_cells(got, want):
     assert set(got) == set(want)
     for key, (bias, sd, n) in want.items():
@@ -214,16 +230,7 @@ class TestBatchedReplications:
     def test_degenerate_replication_drops_out(self, monkeypatch):
         cfg = BenchmarkConfig(lengths=(500,), cross_corrs=(0.9,), qs=(-2.0, 2.0),
                               replications=10, dcca_n_min=(10,), dmca_s_max=(20,))
-        flat_seed = bench_mod._cell_seed(0, 500, 0.9, 3)
-        generate = bench_mod.generate
-
-        def flat_x_for_one_seed(spec):
-            sample = generate(spec)
-            if spec.seed == flat_seed:
-                sample.x.values[:] = 0.0
-            return sample
-
-        monkeypatch.setattr(bench_mod, "generate", flat_x_for_one_seed)
+        _flatten_x_of_replication(monkeypatch, 500, 0.9, 3)
         want = _reference_cell(cfg, 500, 0.9, _benchmark_grids(cfg, 500))
         assert all(ests[3] is None for ests in want.values())
         got = _as_cells(run_benchmark(cfg))
@@ -241,6 +248,7 @@ class TestBatchedReplications:
 
         monkeypatch.setattr(bench_mod, "_estimate_all", record)
         monkeypatch.setattr(bench_mod, "BLOCK_POINTS", 4 * 500)
+        monkeypatch.setattr(bench_mod, "_cpu_count", lambda: 1)  # a worker's calls are not seen here
         run_benchmark(SMALL)
         assert rows == [(4, 500), (4, 500), (2, 500)]
 
@@ -248,3 +256,70 @@ class TestBatchedReplications:
     def test_zero_and_non_finite_orders_rejected(self, q):
         with pytest.raises(InputError, match="finite and nonzero"):
             BenchmarkConfig(qs=(2.0, q))
+
+    @pytest.mark.parametrize("field, name", [("dcca_n_min", "n_min"), ("dmca_s_max", "s_max")])
+    @pytest.mark.parametrize("value", [-1, 0, 3])
+    def test_fit_bound_below_smallest_scale_rejected(self, field, name, value):
+        with pytest.raises(InputError, match=f"{name} .* must be at least 4"):
+            BenchmarkConfig(**{field: (20, value)})
+
+
+# --- replication blocks in worker processes ----------------------------------
+
+NEG_Q = BenchmarkConfig(
+    lengths=(500, 1000), cross_corrs=(0.5, 0.9), qs=(2.0, 4.0, -2.0), replications=10,
+    dcca_n_min=(10, 50), dmca_s_max=(20, 100), master_seed=11,
+)
+
+
+def _with_cpus(monkeypatch, cpus, fn, *args):
+    monkeypatch.setattr(bench_mod, "_cpu_count", lambda: cpus)
+    return fn(*args)
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("points", [None, 1500])
+    @pytest.mark.parametrize("cfg", [SMALL, NEG_Q], ids=["small", "neg_q"])
+    def test_run_benchmark_same_bits_for_any_worker_count(self, monkeypatch, cfg, points):
+        if points is not None:
+            monkeypatch.setattr(bench_mod, "BLOCK_POINTS", points)
+        one, two = ([r.to_dict() for r in _with_cpus(monkeypatch, cpus, run_benchmark, cfg)]
+                    for cpus in (1, 2))
+        assert one == two
+
+    @pytest.mark.parametrize("points", [None, 1500])
+    def test_stability_sweep_same_bits_for_any_worker_count(self, monkeypatch, points):
+        if points is not None:
+            monkeypatch.setattr(bench_mod, "BLOCK_POINTS", points)
+        one, two = (_with_cpus(monkeypatch, cpus, stability_sweep, (500, 1000), NEG_Q)
+                    for cpus in (1, 2))
+        assert one == two
+
+    def test_degenerate_replication_same_for_any_worker_count(self, monkeypatch):
+        cfg = BenchmarkConfig(lengths=(500,), cross_corrs=(0.5, 0.9), qs=(-2.0, 2.0),
+                              replications=10, dcca_n_min=(10,), dmca_s_max=(20,))
+        _flatten_x_of_replication(monkeypatch, 500, 0.9, 3)
+        one, two = ([r.to_dict() for r in _with_cpus(monkeypatch, cpus, run_benchmark, cfg)]
+                    for cpus in (1, 2))
+        assert one == two
+        assert {r["n_effective"] for r in two if r["cross_corr"] == 0.9} == {9}
+
+    @pytest.mark.parametrize("cpus, cfg", [(1, NEG_Q), (2, SMALL)], ids=["one_cpu", "one_job"])
+    def test_no_pool_for_one_cpu_or_one_job(self, monkeypatch, cpus, cfg):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert _with_cpus(monkeypatch, cpus, run_benchmark, cfg)
+
+    def test_workers_bounded_by_cpus_and_jobs(self, monkeypatch):
+        started = []
+        pool = concurrent.futures.ProcessPoolExecutor
+
+        def spy(workers, **kwargs):
+            started.append(workers)
+            return pool(workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+        _with_cpus(monkeypatch, 64, run_benchmark, NEG_Q)  # 4 cells of one block each
+        assert started == [4]

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fractal_xcorr
 from fractal_xcorr import DetrendConfig, TimeSeries, correlation_profile, log_returns, log_scales
-from fractal_xcorr import surrogate
+from fractal_xcorr import benchmark, surrogate
+from fractal_xcorr.errors import DegenerateFluctuationError, InputError
 from fractal_xcorr.cli import main
 from fractal_xcorr.series import AlignedPair, load_csv
 
@@ -206,6 +208,54 @@ class TestBenchmarkCommand:
         assert rc == 2
         assert err.startswith("error: lengths") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--theta", "2"], "theta=2.0 outside [0, 1]"),
+        (["--cross-corrs", "0.5,1.5"], "cross_corr=1.5 outside [-1, 1]"),
+        (["--cross-corrs", "nan"], "cross_corr=nan outside [-1, 1]"),
+        (["--s-max", "5"], "empty scale range [10, 5]"),
+        (["--s-max", "1000"], "scale 298 leaves no full segment for N=500"),
+        (["--lengths", "5000,15"], "scale 10 leaves no full segment for N=15"),
+        (["--n-min", "0"], "n_min [0] must be at least 4"),
+        (["--s-max", "20,3"], "s_max [20, 3] must be at least 4"),
+    ])
+    def test_unrunnable_grid_rejected_before_manifest(self, tmp_path, capsys, argv, message):
+        rc = main(["benchmark", "--reps", "10", "--lengths", "500", *argv,
+                   "--out-dir", str(tmp_path)])
+        err = capsys.readouterr()
+        assert rc == 2
+        assert err.err == f"error: {message}\n"
+        assert err.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("error, rc, prefix", [
+        (DegenerateFluctuationError, 3, "numerical degeneracy: "),
+        (InputError, 2, "error: "),
+    ])
+    def test_worker_error_reaches_exit_code(self, tmp_path, capsys, monkeypatch, error, rc, prefix):
+        def fail(px, py, cfg, length, grids):
+            raise error(f"raised in pid {os.getpid()}")
+
+        monkeypatch.setattr(benchmark, "_estimate_all", fail)
+        monkeypatch.setattr(benchmark, "_cpu_count", lambda: 2)
+        got = main(["benchmark", "--reps", "10", "--lengths", "500", "--cross-corrs", "0.1,0.9",
+                    "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert got == rc
+        assert err.startswith(prefix + "raised in pid ") and err.count("\n") == 1
+        assert f"pid {os.getpid()}\n" not in err  # raised in a worker process
+
+    def test_progress_lines_once_in_grid_order_through_a_pipe(self, tmp_path, capsys, monkeypatch):
+        argv = ["benchmark", "--reps", "10", "--lengths", "500,1000", "--cross-corrs", "0.1,0.9",
+                "--n-min", "10,50", "--s-max", "20,100", "--seed", "3"]
+        monkeypatch.setattr(benchmark, "_cpu_count", lambda: 1)
+        assert main([*argv, "--out-dir", str(tmp_path / "serial")]) == 0
+        want = capsys.readouterr().out
+        proc = subprocess.run([sys.executable, "-m", "fractal_xcorr.cli", *argv,
+                               "--out-dir", str(tmp_path / "piped")],
+                              stdout=subprocess.PIPE, env=_src_env(), check=True, text=True)
+        assert proc.stdout == want
+        assert len(set(want.splitlines())) == 2 * 2 * 2 * 2 * 2  # cell x method x q x range
+
     @pytest.mark.parametrize("q", ["0", "nan", "inf", "-inf"])
     def test_zero_or_non_finite_order_exit_2(self, tmp_path, capsys, q):
         rc = main(["benchmark", "--reps", "10", "--lengths", "500", "--cross-corrs", "0.5",
@@ -368,14 +418,15 @@ class TestRerun:
         assert "no such file" in capsys.readouterr().err
 
 
-def test_cli_import_loads_no_scipy():
-    import fractal_xcorr
+def _src_env() -> dict:
+    src = str(Path(fractal_xcorr.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
+
+def test_cli_import_loads_no_scipy():
     code = ("import sys, fractal_xcorr.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    src = str(Path(fractal_xcorr.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout
+                         env=_src_env(), check=True).stdout
     assert out.strip() == "[]"
