@@ -32,9 +32,9 @@ from .scaling import log_scales, ols_fit
 
 DMCA_FIT_S_LO = 10  # lower fit bound when s_max is the swept parameter
 DCCA_FIT_HI_DIVISOR = 5  # upper fit bound N/5 when n_min is the swept parameter
-# Replications of a cell go through in blocks of at most this many profile
-# points (rows x N; at least one row).  It bounds memory and keeps the working
-# arrays in cache; no result depends on it.
+# Replications of a cell and surrogate pairs go through in blocks of at most
+# this many points (rows x N; at least one row).  It bounds memory and keeps
+# the working arrays in cache; no result depends on it.
 BLOCK_POINTS = 1 << 15
 
 
@@ -104,11 +104,11 @@ def _estimate_all(px, py, cfg: BenchmarkConfig, length: int, grids):
     """Coherency estimates for every (method, q, fit range) on a stack of
     profiles of shape (R, N): {(method, q, param): R estimates}.
 
-    grids maps method -> {param: fit scales}.  Segment statistics are
-    computed once per method and scale for the whole stack and shared across
-    orders and fit ranges.  NaN marks a degenerate replication: F_x^q F_y^q
-    <= 0 or rho = 0 at a fit scale, no segment left at q < 0, or fewer than
-    3 fit scales.
+    grids maps method -> {param: fit scales}, at least 3 of them (see
+    _check_cell).  Segment statistics are computed once per method and scale
+    for the whole stack and shared across orders and fit ranges.  NaN marks
+    a degenerate replication: F_x^q F_y^q <= 0 or rho = 0 at a fit scale, or
+    no segment left at q < 0.
     """
     qs = np.asarray(cfg.qs, dtype=float)
     out = {}
@@ -120,18 +120,22 @@ def _estimate_all(px, py, cfg: BenchmarkConfig, length: int, grids):
             rho2 = rho_q_rows(*stats, qs) ** 2
             log_rho2[s] = np.log(np.where(rho2 > 0.0, rho2, np.nan))
         for param, scales in by_param.items():
-            est = np.full((px.shape[0], qs.size), np.nan)
-            if len(scales) >= 3:
-                slope, _ = ols_fit(np.log(scales), np.stack([log_rho2[s] for s in scales], -1))
-                est = slope / (2.0 * qs)
+            slope, _ = ols_fit(np.log(scales), np.stack([log_rho2[s] for s in scales], -1))
+            est = slope / (2.0 * qs)
             for i, q in enumerate(cfg.qs):
                 out[(method, q, param)] = est[:, i]
     return out
 
 
 def _check_cell(cfg: BenchmarkConfig, length: int, cross_corr: float, grids) -> None:
-    """Raise the InputError that the cell's replications would raise."""
+    """Raise an InputError if the cell cannot run or has a fit range of fewer
+    than 3 scales."""
     McArfimaSpec(cross_corr=cross_corr, length=length, truncation=cfg.truncation)
+    for method, by_param in grids.items():
+        for param, scales in by_param.items():
+            if len(scales) < 3:
+                raise InputError(f"{method} fit range {param} at N={length} has "
+                                 f"{len(scales)} scale(s); at least 3 are needed")
     for s in sorted({s for g in grids["DMCA"].values() for s in g}):
         _check_dma_scale(length, s, cfg.theta)
 
@@ -175,32 +179,28 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _run_jobs(jobs: list):
-    """_replicate(*job) for every job, yielded in job order.
+def _run_jobs(fn, jobs: list, sizes: list):
+    """fn(*job) for every job, yielded in job order.
 
     With at least two jobs and two CPUs the jobs run in a pool of forked
-    worker processes, largest (rows x N) first; otherwise one after another
-    in this process.  Every job seeds its own replications, so the results
-    do not depend on where or in which order the jobs run.
+    worker processes, largest size first; otherwise one after another in
+    this process.  Every job draws its own random numbers or is handed them,
+    so the results do not depend on where or in which order the jobs run.
     """
     workers = min(_cpu_count(), len(jobs))
     if workers < 2 or not hasattr(os, "fork"):
         for job in jobs:
-            yield _replicate(*job)
+            yield fn(*job)
         return
     import multiprocessing  # imported here to keep it off the start-up path
     from concurrent.futures import ProcessPoolExecutor
-
-    def points(i):  # rows x N of job i
-        _, length, _, _, first, stop = jobs[i]
-        return (stop - first) * length
 
     # fork, not spawn: a forked worker starts in milliseconds with the package
     # already imported, where spawn would import numpy again in each worker.
     # No Python thread of this package is running when the workers fork.
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = {i: pool.submit(_replicate, *jobs[i])
-                   for i in sorted(range(len(jobs)), key=points, reverse=True)}
+        futures = {i: pool.submit(fn, *jobs[i])
+                   for i in sorted(range(len(jobs)), key=sizes.__getitem__, reverse=True)}
         try:
             for i in range(len(jobs)):
                 yield futures[i].result()
@@ -225,7 +225,8 @@ def _cell_estimates(cfg: BenchmarkConfig, cells):
         jobs.extend((cfg, length, rho, grids, first, min(first + rows, cfg.replications))
                     for first in firsts)
         n_blocks.append(len(firsts))
-    results = _run_jobs(jobs)
+    results = _run_jobs(_replicate, jobs, [(stop - first) * length  # rows x N
+                                           for _, length, _, _, first, stop in jobs])
     for (length, rho, _), n in zip(cells, n_blocks):
         blocks = [next(results) for _ in range(n)]
         out = {}

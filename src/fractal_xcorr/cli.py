@@ -361,6 +361,9 @@ def cmd_test(args, argv) -> int:
     configs = _detrend_configs(args, len(pair))
     reports = surrogate_test(pair, configs[0], n_surrogates=args.surrogates,
                              iaaft=IaaftConfig(seed=seed), qs=[c.q for c in configs])
+    if reports[0].n_failed:
+        print(f"note: {reports[0].n_failed} of {args.surrogates} surrogate pairs degenerate "
+              "after retries", file=sys.stderr)
     rows = []
     for rep in reports:
         label = classify(rep, alpha=args.alpha)

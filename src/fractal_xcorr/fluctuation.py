@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFluctuationError, InputError
-from .series import AlignedPair, TimeSeries, cumulative_profile
+from .series import AlignedPair, TimeSeries
 
 MIN_SCALE = 4
 # Up to this window np.convolve costs about as much as the O(N) running sum
@@ -175,34 +175,6 @@ def dma_residual(profile, s: int, theta: float = 0.5) -> WindowedSeries:
 def n_segments(N: int, s: int) -> int:
     """Number of residual segments: the integer part of N/s - 1."""
     return N // s - 1
-
-
-def detrended_segments(profile, ma: WindowedSeries, s: int) -> np.ndarray:
-    """Cut the residual profile - MA into n_segments rows of length s.
-
-    Trailing residual points beyond n_segments * s are discarded.
-    """
-    x = _as_array(profile)
-    resid = x[ma.start : ma.stop] - ma.values
-    ns = n_segments(x.size, s)
-    if ns < 1:
-        raise InputError(f"scale {s} leaves no full segment for N={x.size}")
-    return resid[: ns * s].reshape(ns, s)
-
-
-def segment_rms(segment) -> float:
-    """Root mean square of one residual segment."""
-    seg = np.asarray(segment, dtype=float)
-    return float(np.sqrt(np.mean(seg**2)))
-
-
-def segment_cross(seg_x, seg_y) -> float:
-    """Sign-carrying mean product of two residual segments."""
-    a = np.asarray(seg_x, dtype=float)
-    b = np.asarray(seg_y, dtype=float)
-    if a.size != b.size:
-        raise InputError(f"segment length mismatch: {a.size} vs {b.size}")
-    return float(np.mean(a * b))
 
 
 def _segment_moments(rx: np.ndarray, ry: np.ndarray):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .benchmark import BLOCK_POINTS, _run_jobs
 from .errors import DegenerateFluctuationError, InputError
 from .fluctuation import DetrendConfig, _dma_segment_stats, rho_q_rows
 from .series import AlignedPair, TimeSeries
@@ -45,24 +46,33 @@ class SurrogateTestReport:
     n_failed: int = 0  # surrogate pairs degenerate even after retries
 
 
+def _permutations(x: np.ndarray, n_rows: int, rng) -> np.ndarray:
+    """n_rows random permutations of x: the initial rows of an IAAFT ensemble."""
+    return np.array([rng.permutation(x) for _ in range(n_rows)])
+
+
 def _iaaft_ensemble(x: np.ndarray, n_rows: int, cfg: IaaftConfig, rng) -> np.ndarray:
-    """n_rows IAAFT surrogates of x, shape (n_rows, N).
+    """n_rows IAAFT surrogates of x, shape (n_rows, N)."""
+    return _iaaft_rows(x, _permutations(x, n_rows, rng), cfg)
+
+
+def _iaaft_rows(x: np.ndarray, cand: np.ndarray, cfg: IaaftConfig) -> np.ndarray:
+    """IAAFT surrogates of x from the initial rows cand, shape (rows, N),
+    which are overwritten and returned.
 
     Each iteration imposes the original amplitude spectrum (keeping current
     phases), then rank-remaps onto the sorted original values, so the final
     output always carries the exact original value multiset.  A row stops
     iterating once the relative change of its spectrum mismatch falls below
-    the tolerance.
+    the tolerance; rows never interact, so any split of an ensemble into
+    blocks gives the same rows.
     """
     N = x.size
     sorted_x = np.sort(x)
     target_amp = np.abs(np.fft.rfft(x))
     target_norm = np.linalg.norm(target_amp)
-    cand = np.empty((n_rows, N))
-    for i in range(n_rows):
-        cand[i] = rng.permutation(x)
-    prev = np.full(n_rows, np.inf)
-    active = np.arange(n_rows)
+    prev = np.full(cand.shape[0], np.inf)
+    active = np.arange(cand.shape[0])
     for _ in range(cfg.max_iterations):
         spec = np.fft.rfft(cand[active], axis=1)
         amp = np.abs(spec)
@@ -101,13 +111,28 @@ def _series_rng(seed: int, values: np.ndarray):
     )
 
 
-def _rho_all_scales(px, py, cfg: DetrendConfig, qs):
-    """rho per (q, scale), shape (len(qs), len(grid)), or None if any cell
-    is degenerate.  Segment statistics are computed once per scale and
-    aggregated for every q."""
-    rhos = np.stack([rho_q_rows(*_dma_segment_stats(px, py, s, cfg.theta), qs)
+def _rho_rows(px, py, cfg: DetrendConfig, qs) -> np.ndarray:
+    """rho per (q, scale) of profiles (..., N), shape (..., len(qs), len(grid)),
+    NaN where degenerate.  Segment statistics are computed once per scale and
+    aggregated for every q, each row to the same bits as on its own."""
+    return np.stack([rho_q_rows(*_dma_segment_stats(px, py, s, cfg.theta), qs)
                      for s in cfg.scale_grid], axis=-1)
+
+
+def _rho_all_scales(px, py, cfg: DetrendConfig, qs):
+    """rho per (q, scale) of one pair of profiles, shape (len(qs),
+    len(grid)), or None if any cell is degenerate."""
+    rhos = _rho_rows(px, py, cfg, qs)
     return None if np.isnan(rhos).any() else rhos
+
+
+def _surrogate_block(x, y, cand_x, cand_y, cfg: DetrendConfig, iaaft: IaaftConfig,
+                     qs) -> np.ndarray:
+    """_rho_rows of the IAAFT surrogate pairs grown from the initial rows
+    cand_x and cand_y: one job of a surrogate test."""
+    px = np.cumsum(_iaaft_rows(x, cand_x, iaaft), axis=-1)
+    py = np.cumsum(_iaaft_rows(y, cand_y, iaaft), axis=-1)
+    return _rho_rows(px, py, cfg, qs)
 
 
 def surrogate_test(pair: AlignedPair, cfg: DetrendConfig, n_surrogates: int = 1000,
@@ -127,35 +152,34 @@ def surrogate_test(pair: AlignedPair, cfg: DetrendConfig, n_surrogates: int = 10
     cfg.check_length(len(pair))
     qs = (cfg.q,) if qs is None else tuple(qs)
 
-    px = np.cumsum(pair.x.values)
-    py = np.cumsum(pair.y.values)
-    observed = _rho_all_scales(px, py, cfg, qs)
+    x, y = pair.x.values, pair.y.values
+    observed = _rho_all_scales(np.cumsum(x), np.cumsum(y), cfg, qs)
     if observed is None:
         raise DegenerateFluctuationError("degenerate fluctuation in the observed pair")
 
     # Streams are keyed on series content, not argument position, so that
     # swapping the pair yields the same surrogates and identical p-values.
-    rng_x = _series_rng(iaaft.seed, pair.x.values)
-    rng_y = _series_rng(iaaft.seed, pair.y.values)
-    sx = _iaaft_ensemble(pair.x.values, n_surrogates, iaaft, rng_x)
-    sy = _iaaft_ensemble(pair.y.values, n_surrogates, iaaft, rng_y)
+    # Every initial permutation is drawn here, all of x's, then all of y's,
+    # so no result depends on how the rows are cut into jobs.
+    rng_x = _series_rng(iaaft.seed, x)
+    rng_y = _series_rng(iaaft.seed, y)
+    cand_x = _permutations(x, n_surrogates, rng_x)
+    cand_y = _permutations(y, n_surrogates, rng_y)
+    rows = max(1, BLOCK_POINTS // len(pair))
+    jobs = [(x, y, cand_x[a:a + rows], cand_y[a:a + rows], cfg, iaaft, qs)
+            for a in range(0, n_surrogates, rows)]
+    surr_rhos = np.concatenate(list(_run_jobs(_surrogate_block, jobs,
+                                              [len(job[2]) for job in jobs])))
 
-    surr_rhos = np.empty((n_surrogates, len(qs), len(cfg.scale_grid)))
-    failed = np.zeros(n_surrogates, dtype=bool)
-    for i in range(n_surrogates):
-        rhos = _rho_all_scales(np.cumsum(sx[i]), np.cumsum(sy[i]), cfg, qs)
-        retries = 0
-        while rhos is None and retries < MAX_REGENERATION_RETRIES:
-            retries += 1
-            sx[i] = _iaaft_ensemble(pair.x.values, 1, iaaft, rng_x)[0]
-            sy[i] = _iaaft_ensemble(pair.y.values, 1, iaaft, rng_y)[0]
-            rhos = _rho_all_scales(np.cumsum(sx[i]), np.cumsum(sy[i]), cfg, qs)
-        if rhos is None:
-            failed[i] = True
-        else:
-            surr_rhos[i] = rhos
+    failed = np.isnan(surr_rhos).any(axis=(1, 2))
+    for i in np.flatnonzero(failed):  # in row order, so the retries draw as before
+        for _ in range(MAX_REGENERATION_RETRIES):
+            rhos = _rho_all_scales(np.cumsum(_iaaft_ensemble(x, 1, iaaft, rng_x)[0]),
+                                   np.cumsum(_iaaft_ensemble(y, 1, iaaft, rng_y)[0]), cfg, qs)
+            if rhos is not None:
+                surr_rhos[i], failed[i] = rhos, False
+                break
 
-    ok = ~failed
     n_failed = int(failed.sum())
     if n_failed == n_surrogates:
         raise DegenerateFluctuationError(
@@ -163,7 +187,7 @@ def surrogate_test(pair: AlignedPair, cfg: DetrendConfig, n_surrogates: int = 10
     reports = []
     for k, q in enumerate(qs):
         for j, s in enumerate(cfg.scale_grid):
-            vals = surr_rhos[ok, k, j]
+            vals = surr_rhos[~failed, k, j]
             mean = float(vals.mean())
             obs = float(observed[k, j])
             count = int(np.sum(np.abs(vals - mean) >= abs(obs - mean)))

@@ -24,3 +24,22 @@ def pair_200():
 @pytest.fixture
 def pair_1000():
     return gaussian_pair(11, 1000)
+
+
+def mark_degenerate(monkeypatch, first_values):
+    """Make the surrogate scoring report every surrogate pair whose x profile
+    starts at one of first_values as degenerate, in-process and, through
+    fork, in worker processes.  Returns the list of scored x starts."""
+    from fractal_xcorr import surrogate
+
+    original = surrogate._rho_rows
+    seen = []
+
+    def marked(px, py, cfg, qs):
+        rhos = original(px, py, cfg, qs)
+        seen.extend(np.atleast_1d(px[..., 0]).tolist())
+        rhos[np.isin(px[..., 0], first_values)] = np.nan
+        return rhos
+
+    monkeypatch.setattr(surrogate, "_rho_rows", marked)
+    return seen

@@ -13,6 +13,7 @@ from fractal_xcorr import benchmark, surrogate
 from fractal_xcorr.errors import DegenerateFluctuationError, InputError
 from fractal_xcorr.cli import main
 from fractal_xcorr.series import AlignedPair, load_csv
+from conftest import mark_degenerate
 
 
 def write_prices(path, values):
@@ -217,6 +218,10 @@ class TestBenchmarkCommand:
         (["--lengths", "5000,15"], "scale 10 leaves no full segment for N=15"),
         (["--n-min", "0"], "n_min [0] must be at least 4"),
         (["--s-max", "20,3"], "s_max [20, 3] must be at least 4"),
+        (["--cross-corrs", "0.5", "--n-min", "4", "--s-max", "10"],
+         "DMCA fit range 10 at N=500 has 1 scale(s); at least 3 are needed"),
+        (["--cross-corrs", "0.5", "--n-min", "4", "--s-max", "11"],
+         "DMCA fit range 11 at N=500 has 2 scale(s); at least 3 are needed"),
     ])
     def test_unrunnable_grid_rejected_before_manifest(self, tmp_path, capsys, argv, message):
         rc = main(["benchmark", "--reps", "10", "--lengths", "500", *argv,
@@ -300,24 +305,72 @@ class TestSurrogateCommand:
         assert manifest["config"]["n_failed"] == 0
 
     def test_one_ensemble_per_series_for_every_q(self, price_files, tmp_path, monkeypatch):
-        calls = []
-        original = surrogate._iaaft_ensemble
+        # the initial rows of each ensemble are drawn once, in this process;
+        # the IAAFT iteration then runs once per row (seen here on one CPU)
+        draws, iterated = [], []
+        permutations, iaaft_rows = surrogate._permutations, surrogate._iaaft_rows
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return original(*args, **kwargs)
+        def counting_draws(x, n_rows, rng):
+            draws.append(n_rows)
+            return permutations(x, n_rows, rng)
 
-        monkeypatch.setattr(surrogate, "_iaaft_ensemble", counting)
+        def counting_rows(x, cand, cfg):
+            iterated.append(len(cand))
+            return iaaft_rows(x, cand, cfg)
+
+        monkeypatch.setattr(surrogate, "_permutations", counting_draws)
+        monkeypatch.setattr(surrogate, "_iaaft_rows", counting_rows)
+        monkeypatch.setattr(benchmark, "_cpu_count", lambda: 1)
         xp, yp = price_files
         out = tmp_path / "test"
         rc = main(["test", str(xp), str(yp), "--column", "close", "--scales", "10,20",
                    "--q", "2", "--q", "4", "--surrogates", "100", "--out-dir", str(out)])
         assert rc == 0
-        assert calls == [100, 100]
+        assert draws == [100, 100]
+        assert sum(iterated) == 200
         rows = (out / "surrogate_test.csv").read_text().splitlines()[2:]
         assert [r.split(",")[:2] for r in rows] == [
             ["10", "2.0"], ["20", "2.0"], ["10", "4.0"], ["20", "4.0"]]
 
+
+    @pytest.mark.parametrize("error, rc, prefix", [
+        (DegenerateFluctuationError, 3, "numerical degeneracy: "),
+        (InputError, 2, "error: "),
+    ])
+    def test_worker_error_reaches_exit_code(self, price_files, tmp_path, capsys, monkeypatch,
+                                            error, rc, prefix):
+        def fail(x, cand, cfg):
+            raise error(f"raised in pid {os.getpid()}")
+
+        monkeypatch.setattr(surrogate, "_iaaft_rows", fail)
+        monkeypatch.setattr(benchmark, "_cpu_count", lambda: 2)
+        xp, yp = price_files  # 399 returns x 100 surrogates: two blocks
+        got = main(["test", str(xp), str(yp), "--column", "close", "--scales", "10,20",
+                    "--surrogates", "100", "--out-dir", str(tmp_path / "t")])
+        err = capsys.readouterr().err
+        assert got == rc
+        assert err.startswith(prefix + "raised in pid ") and err.count("\n") == 1
+        assert f"pid {os.getpid()}\n" not in err  # raised in a worker process
+
+    def test_degenerate_surrogates_noted_on_stderr(self, price_files, tmp_path, capsys,
+                                                   monkeypatch):
+        xp, yp = price_files
+        argv = ["test", str(xp), str(yp), "--column", "close", "--scales", "10,20",
+                "--surrogates", "100", "--seed", "4"]
+        assert main([*argv, "--out-dir", str(tmp_path / "clean")]) == 0
+        clean = capsys.readouterr()
+        assert clean.err == ""
+        # a surrogate pair whose x surrogate starts above the 15th percentile
+        # of x is degenerate: 85 % of all draws, so some fail all 10 retries
+        x = log_returns(load_csv(xp, "close")).values
+        mark_degenerate(monkeypatch, x[(x > np.quantile(x, 0.15)) & (x != x[0])])
+        assert main([*argv, "--out-dir", str(tmp_path / "t")]) == 0
+        marked = capsys.readouterr()
+        manifest = json.loads((tmp_path / "t" / "test_manifest.json").read_text())
+        n_failed = manifest["config"]["n_failed"]
+        assert 0 < n_failed < 100
+        assert marked.err == f"note: {n_failed} of 100 surrogate pairs degenerate after retries\n"
+        assert "note" not in marked.out and len(marked.out.splitlines()) == 4
 
     @pytest.mark.parametrize("alpha", ["7", "1", "0", "-0.05", "nan"])
     def test_alpha_outside_unit_interval_exit_2(self, price_files, tmp_path, capsys, alpha):
@@ -430,3 +483,19 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=_src_env(), check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_probe_sized_test_run_starts_no_pool(tmp_path):
+    # 64 returns x 100 surrogates is one block, which runs in this process
+    rng = np.random.default_rng(5)
+    for name in ("x", "y"):
+        prices = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal(65)))
+        write_prices(tmp_path / f"{name}.csv", prices)
+    code = ("import sys; from fractal_xcorr.cli import main; "
+            f"rc = main(['test', 'x.csv', 'y.csv', '--column', 'close', '--scales', '4,8,16', "
+            f"'--surrogates', '100', '--out-dir', 'o']); "
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing' "
+            "or m == 'concurrent.futures.process'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=_src_env(), cwd=tmp_path, check=True).stdout
+    assert out.splitlines()[-1] == "0 []"

@@ -19,14 +19,12 @@ from fractal_xcorr.fluctuation import (
     _dcca_segment_stats,
     _dma_segment_stats,
     aggregate_q,
-    detrended_segments,
     n_segments,
     rho_q_rows,
-    segment_cross,
-    segment_rms,
 )
 from fractal_xcorr.mc_arfima import McArfimaSpec, generate
 from conftest import gaussian_pair
+from oracle_naive import naive_residual
 
 
 def _profile_pair(pair):
@@ -94,32 +92,50 @@ class TestSegments:
         assert n_segments(40, 10) == 3
         assert n_segments(39, 10) == 2
 
+    @staticmethod
+    def _oracle_segments(profile, s):
+        """Residual segments of the literal-transcription oracle, one list each."""
+        resid = naive_residual(list(profile), s, 0.5)
+        return [resid[v * s : (v + 1) * s] for v in range(n_segments(len(profile), s))]
+
     def test_detrended_segments_shape_and_discard(self):
         x = np.cumsum(np.random.default_rng(0).standard_normal(100))
-        ma = moving_average(x, 25)
-        segs = detrended_segments(x, ma, 25)
-        assert segs.shape == (3, 25)
-        resid = x[ma.start : ma.stop] - ma.values
-        assert np.array_equal(segs.ravel(), resid[:75])
+        fx, fy, cross = _dma_segment_stats(x, x, 25, 0.5)
+        assert fx.shape == fy.shape == cross.shape == (3,)
+        # the last residual point (0-based position 87 of 12..87) is
+        # discarded; only it sees the last profile point through its window
+        moved = x.copy()
+        moved[-1] += 1.0
+        for got, want in zip(_dma_segment_stats(moved, moved, 25, 0.5), (fx, fy, cross)):
+            assert np.array_equal(got, want)
 
     def test_zero_residual_for_constant_input(self):
         x = np.full(60, 3.0)
-        segs = detrended_segments(x, moving_average(x, 10), 10)
-        assert np.all(segs == 0.0)
+        for stat in _dma_segment_stats(x, x, 10, 0.5):
+            assert np.all(stat == 0.0)
 
     def test_segment_rms(self):
-        assert segment_rms([0.0, 0.0, 0.0]) == 0.0
-        assert segment_rms([3.0, -4.0]) == pytest.approx(np.sqrt(12.5))
-        seg = np.array([1.0, -2.0, 0.5])
-        assert segment_rms(3.0 * seg) == pytest.approx(3.0 * segment_rms(seg))
+        pair = gaussian_pair(3, 200)
+        px, py = _profile_pair(pair)
+        fx, fy, _ = _dma_segment_stats(px, py, 20, 0.5)
+        for got, profile in ((fx, px), (fy, py)):
+            want = [np.sqrt(sum(v * v for v in seg) / 20)
+                    for seg in self._oracle_segments(profile, 20)]
+            assert got == pytest.approx(want, rel=1e-10)
+        fx3, _, _ = _dma_segment_stats(3.0 * px, py, 20, 0.5)
+        assert fx3 == pytest.approx(3.0 * fx, rel=1e-12)
 
     def test_segment_cross(self):
-        seg = np.array([1.0, -2.0, 0.5])
-        assert segment_cross(seg, seg) == pytest.approx(segment_rms(seg) ** 2)
-        assert segment_cross(seg, -seg) == pytest.approx(-segment_rms(seg) ** 2)
-        assert segment_cross([1.0, -1.0], [1.0, 1.0]) == 0.0
-        with pytest.raises(InputError, match="mismatch"):
-            segment_cross([1.0, 2.0], [1.0])
+        pair = gaussian_pair(4, 200, corr=0.5)
+        px, py = _profile_pair(pair)
+        _, _, cross = _dma_segment_stats(px, py, 20, 0.5)
+        want = [sum(a * b for a, b in zip(sx, sy)) / 20
+                for sx, sy in zip(self._oracle_segments(px, 20), self._oracle_segments(py, 20))]
+        assert cross == pytest.approx(want, rel=1e-10)
+        fx, _, same = _dma_segment_stats(px, px, 20, 0.5)
+        assert same == pytest.approx(fx**2, rel=1e-12)
+        _, _, opposite = _dma_segment_stats(px, -px, 20, 0.5)
+        assert opposite == pytest.approx(-fx**2, rel=1e-12)
 
 
 class TestQFluctuations:

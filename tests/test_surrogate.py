@@ -11,12 +11,12 @@ from fractal_xcorr import (
     classify,
     surrogate_test,
 )
-from fractal_xcorr import surrogate
+from fractal_xcorr import benchmark, surrogate
 from fractal_xcorr.errors import DegenerateFluctuationError
 from fractal_xcorr.fluctuation import _dma_segment_stats, aggregate_q, rho_q_dmca
 from fractal_xcorr.mc_arfima import McArfimaSpec, generate
-from fractal_xcorr.surrogate import SurrogateTestReport, _iaaft_ensemble, stars
-from conftest import gaussian_pair
+from fractal_xcorr.surrogate import SurrogateTestReport, _iaaft_ensemble, _series_rng, stars
+from conftest import gaussian_pair, mark_degenerate
 
 
 def arfima_series(seed, n=1024):
@@ -197,14 +197,18 @@ class TestSurrogateTest:
             assert surrogate._rho_all_scales(px, py, cfg, qs) is None
 
     def test_every_surrogate_degenerate_raises(self, monkeypatch):
-        original = surrogate._rho_all_scales
+        # the observed pair is scored first, in this process; every later
+        # scoring (the blocks, in-process or in forked workers, and every
+        # retry) reports a degenerate cell
+        original = surrogate._rho_rows
         calls = []
 
         def observed_only(*args):
             calls.append(1)
-            return original(*args) if len(calls) == 1 else None
+            rhos = original(*args)
+            return rhos if len(calls) == 1 else np.full_like(rhos, np.nan)
 
-        monkeypatch.setattr(surrogate, "_rho_all_scales", observed_only)
+        monkeypatch.setattr(surrogate, "_rho_rows", observed_only)
         with pytest.raises(DegenerateFluctuationError, match="all 100 surrogate pairs"):
             surrogate_test(gaussian_pair(1, 600), self.cfg, n_surrogates=100)
 
@@ -216,6 +220,113 @@ class TestSurrogateTest:
         with pytest.raises(InputError, match="too short"):
             surrogate_test(short, DetrendConfig(scale_grid=(5,), q=2.0),
                            n_surrogates=100)
+
+
+def surrogate_test_reference(pair, cfg, n_surrogates, iaaft, qs):
+    """The surrogate test as one ensemble per series, scored one surrogate
+    pair at a time, each degenerate pair regenerated in row order."""
+    x, y = pair.x.values, pair.y.values
+    observed = surrogate._rho_all_scales(np.cumsum(x), np.cumsum(y), cfg, qs)
+    rng_x = _series_rng(iaaft.seed, x)
+    rng_y = _series_rng(iaaft.seed, y)
+    sx = _iaaft_ensemble(x, n_surrogates, iaaft, rng_x)
+    sy = _iaaft_ensemble(y, n_surrogates, iaaft, rng_y)
+    surr_rhos = np.empty((n_surrogates, len(qs), len(cfg.scale_grid)))
+    failed = np.zeros(n_surrogates, dtype=bool)
+    for i in range(n_surrogates):
+        rhos = surrogate._rho_all_scales(np.cumsum(sx[i]), np.cumsum(sy[i]), cfg, qs)
+        retries = 0
+        while rhos is None and retries < surrogate.MAX_REGENERATION_RETRIES:
+            retries += 1
+            sx[i] = _iaaft_ensemble(x, 1, iaaft, rng_x)[0]
+            sy[i] = _iaaft_ensemble(y, 1, iaaft, rng_y)[0]
+            rhos = surrogate._rho_all_scales(np.cumsum(sx[i]), np.cumsum(sy[i]), cfg, qs)
+        if rhos is None:
+            failed[i] = True
+        else:
+            surr_rhos[i] = rhos
+    ok = ~failed
+    reports = []
+    for k, q in enumerate(qs):
+        for j, s in enumerate(cfg.scale_grid):
+            vals = surr_rhos[ok, k, j]
+            mean = float(vals.mean())
+            obs = float(observed[k, j])
+            count = int(np.sum(np.abs(vals - mean) >= abs(obs - mean)))
+            reports.append(SurrogateTestReport(
+                scale=s, q=q, observed_rho=obs, surrogate_mean=mean,
+                surrogate_values=vals, p_value=(count + 1) / (vals.size + 1),
+                n_failed=int(failed.sum()),
+            ))
+    return reports
+
+
+def assert_same_reports(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.scale, a.q, a.observed_rho, a.surrogate_mean, a.p_value, a.n_failed) == (
+            b.scale, b.q, b.observed_rho, b.surrogate_mean, b.p_value, b.n_failed)
+        assert a.surrogate_values.tobytes() == b.surrogate_values.tobytes()
+
+
+class TestSurrogateBlocks:
+    cfg = DetrendConfig(scale_grid=(10, 20, 50), q=2.0)
+    qs = (2.0, 4.0, -2.0)
+    iaaft = IaaftConfig(seed=5)
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        return gaussian_pair(9, 600, corr=-0.4)
+
+    @pytest.fixture(scope="class")
+    def want(self, pair):
+        return surrogate_test_reference(pair, self.cfg, 100, self.iaaft, self.qs)
+
+    @pytest.mark.parametrize("rows", [None, 3, 1])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_same_bits_for_any_block_size_and_cpu_count(self, monkeypatch, pair, want, cpus,
+                                                          rows):
+        if rows is not None:
+            monkeypatch.setattr(surrogate, "BLOCK_POINTS", rows * len(pair))
+        monkeypatch.setattr(benchmark, "_cpu_count", lambda: cpus)
+        got = surrogate_test(pair, self.cfg, n_surrogates=100, iaaft=self.iaaft, qs=self.qs)
+        assert_same_reports(got, want)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_rows_go_through_in_blocks(self, monkeypatch, pair, cpus):
+        sizes = []
+        run_jobs = benchmark._run_jobs
+
+        def record(fn, jobs, job_sizes):
+            sizes.extend(job_sizes)
+            return run_jobs(fn, jobs, job_sizes)
+
+        monkeypatch.setattr(surrogate, "_run_jobs", record)
+        monkeypatch.setattr(benchmark, "_cpu_count", lambda: cpus)
+        surrogate_test(pair, self.cfg, n_surrogates=130, iaaft=self.iaaft)
+        rows = benchmark.BLOCK_POINTS // len(pair)
+        assert sizes == [rows, rows, 130 - 2 * rows]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_degenerate_row_regenerated_with_the_same_draws(self, monkeypatch, pair, want,
+                                                            cpus):
+        # rows 37 and 61 are the only surrogate pairs whose x surrogate starts
+        # at its value; both are marked degenerate, and so is any retry that
+        # starts there
+        sx = _iaaft_ensemble(pair.x.values, 100, self.iaaft,
+                             _series_rng(self.iaaft.seed, pair.x.values))
+        starts = sx[[37, 61], 0]
+        assert np.isin(sx[:, 0], starts).sum() == 2 and pair.x.values[0] not in starts
+        seen = mark_degenerate(monkeypatch, starts)
+        monkeypatch.setattr(benchmark, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(surrogate, "BLOCK_POINTS", 30 * len(pair))
+        got = surrogate_test(pair, self.cfg, n_surrogates=100, iaaft=self.iaaft, qs=self.qs)
+        del seen[:]
+        regenerated = surrogate_test_reference(pair, self.cfg, 100, self.iaaft, self.qs)
+        assert len(seen) >= 1 + 100 + 2  # the observed pair, the ensemble, the retries
+        assert regenerated[0].n_failed == 0
+        assert_same_reports(got, regenerated)
+        assert not np.array_equal(got[0].surrogate_values, want[0].surrogate_values)
 
 
 class TestClassify:
