@@ -26,7 +26,6 @@ from .fluctuation import (
     correlation_profile,
     moving_average,
     q_fluctuations,
-    q_fluctuations_dcca,
     rho_dmca_classic,
     rho_q_dmca,
 )

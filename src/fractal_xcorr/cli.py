@@ -148,7 +148,8 @@ def _add_io_args(p, pair=True):
     p.add_argument("--returns", choices=("log", "raw"), default="log",
                    help="'log': inputs are prices, take log returns (default); 'raw': use as-is")
     p.add_argument("--out-dir", default=".", help="output directory")
-    p.add_argument("--format", choices=("csv", "json", "both"), default="both")
+    if pair:  # describe, the one single-series command, writes JSON only
+        p.add_argument("--format", choices=("csv", "json", "both"), default="both")
 
 
 def _add_common_args(p, scales=True):
@@ -437,8 +438,21 @@ def cmd_rerun(args, _argv) -> int:
     stored = manifest.get("argv") if isinstance(manifest, dict) else None
     if not stored:
         raise InputError(f"{args.manifest}: manifest carries no argv to re-run")
+    if manifest.get("tool_version") != __version__:
+        raise InputError(f"{args.manifest}: written by tool version "
+                         f"{manifest.get('tool_version')}, this is {__version__}")
+    cwd, inputs = manifest.get("cwd"), manifest.get("input_digests", {})
+    if not isinstance(inputs, dict):
+        raise InputError(f"{args.manifest}: input_digests must be a JSON object")
+    for name, digest in inputs.items():
+        try:
+            same = _file_digest(Path(cwd or "", name)) == digest
+        except OSError:
+            raise InputError(f"input {name} of {args.manifest} cannot be read") from None
+        if not same:
+            raise InputError(f"input {name} changed since {args.manifest} was written")
     # No os.chdir: main() also runs in-process, inside the caller's cwd.
-    return _dispatch(stored, cwd=manifest.get("cwd"))
+    return _dispatch(stored, cwd=cwd)
 
 
 _HANDLERS = {

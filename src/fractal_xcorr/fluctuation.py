@@ -97,29 +97,17 @@ class CorrelationProfile:
         ]
 
 
-@dataclass(frozen=True)
-class WindowedSeries:
-    """Values defined only on a contiguous index range of a parent series."""
-
-    values: np.ndarray
-    start: int  # 0-based index into the parent series of values[0]
-
-    @property
-    def stop(self) -> int:
-        return self.start + self.values.shape[-1]
-
-
 def _as_array(series) -> np.ndarray:
     if isinstance(series, TimeSeries):
         return series.values
     return np.asarray(series, dtype=float)
 
 
-def moving_average(profile, n: int, theta: float = 0.5) -> WindowedSeries:
+def moving_average(profile, n: int, theta: float = 0.5) -> tuple:
     """Moving average of window n at position parameter theta.
 
-    Returns the averages on the index range where the full window fits,
-    i.e. positions floor((n-1)*(1-theta)) .. N-1-floor((n-1)*theta)
+    Returns (values, start): the averages where the full window fits, at
+    positions start = floor((n-1)*(1-theta)) .. N-1-floor((n-1)*theta)
     (0-based); the window for position t spans t-ceil((n-1)*(1-theta)) ..
     t+floor((n-1)*theta).  A profile of shape (..., N) is averaged along its
     last axis, each row to the same bits as on its own.
@@ -134,7 +122,7 @@ def moving_average(profile, n: int, theta: float = 0.5) -> WindowedSeries:
         w = np.full(n, 1.0 / n)
         ma = np.array([np.convolve(r, w, mode="valid")
                        for r in x.reshape(-1, N)]).reshape(x.shape[:-1] + (N - n + 1,))
-    return WindowedSeries(ma, start=n - 1 - g)
+    return ma, n - 1 - g
 
 
 def _check_window(N: int, n: int, theta: float) -> None:
@@ -163,13 +151,11 @@ def _running_mean(x: np.ndarray, n: int) -> np.ndarray:
     return sums
 
 
-def dma_residual(profile, s: int, theta: float = 0.5) -> WindowedSeries:
-    """Profile minus its moving average, on the valid index range."""
-    x = _as_array(profile)
-    ma = moving_average(x, s, theta)
-    # ma.values is a fresh array, so it can take the residual
-    resid = np.subtract(x[..., ma.start : ma.stop], ma.values, out=ma.values)
-    return WindowedSeries(resid, start=ma.start)
+def _residual(profile: np.ndarray, s: int, theta: float) -> np.ndarray:
+    """Profile minus its moving average, on the index range where the window fits."""
+    ma, start = moving_average(profile, s, theta)
+    # ma is a fresh array, so it can take the residual
+    return np.subtract(profile[..., start : start + ma.shape[-1]], ma, out=ma)
 
 
 def n_segments(N: int, s: int) -> int:
@@ -200,7 +186,7 @@ def _dma_segment_stats(px: np.ndarray, py: np.ndarray, s: int, theta: float):
     N = px.shape[-1]
     _check_dma_scale(N, s, theta)
     ns = n_segments(N, s)
-    rx, ry = (dma_residual(p, s, theta).values[..., : ns * s].reshape(p.shape[:-1] + (ns, s))
+    rx, ry = (_residual(p, s, theta)[..., : ns * s].reshape(p.shape[:-1] + (ns, s))
               for p in (px, py))
     return _segment_moments(rx, ry)
 
@@ -229,52 +215,54 @@ def _dcca_segment_stats(px: np.ndarray, py: np.ndarray, s: int):
     return _segment_moments(_detrend(px), _detrend(py))
 
 
+def _q_moments(fx: np.ndarray, fy: np.ndarray, cross: np.ndarray, qs) -> tuple:
+    """(F_x^q, F_y^q, F_xy^q, kept) of every row and order: per-segment
+    statistics of shape (..., n_seg) give four arrays of shape (..., len(qs)).
+
+    F_xy^q averages the sign-carrying power sign(cross) |cross|^(q/2).  At
+    q < 0 a segment where either RMS vanishes is skipped: it adds zero to
+    the sums and is left out of kept, the number of segments averaged over
+    (NaN means where kept is 0).
+    """
+    f_x_q, f_y_q, f_xy_q, kept = np.empty((4,) + fx.shape[:-1] + (len(qs),))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # a scalar power takes numpy's square/copy shortcuts
+        for i, q in enumerate(map(float, qs)):
+            powers = (fx**q, fy**q, np.sign(cross) * np.abs(cross) ** (q / 2.0))
+            if q < 0:
+                keep = (fx > 0) & (fy > 0)
+                powers = [np.where(keep, v, 0.0) for v in powers]
+                kept[..., i] = keep.sum(axis=-1)
+            else:
+                kept[..., i] = fx.shape[-1]
+            f_x_q[..., i], f_y_q[..., i], f_xy_q[..., i] = (v.sum(axis=-1) / kept[..., i]
+                                                            for v in powers)
+    return f_x_q, f_y_q, f_xy_q, kept
+
+
 def aggregate_q(scale: int, q: float, fx: np.ndarray, fy: np.ndarray,
                 cross: np.ndarray) -> FluctuationSet:
-    """Order-q aggregation of per-segment fluctuation statistics."""
-    n_skipped = 0
-    if q < 0:
-        keep = (fx > 0) & (fy > 0)
-        n_skipped = int(fx.size - keep.sum())
-        if keep.sum() < 1:
-            raise DegenerateFluctuationError(
-                f"scale {scale}: every segment degenerate at q={q}"
-            )
-        fx, fy, cross = fx[keep], fy[keep], cross[keep]
-    f_x_q = float(np.mean(fx**q))
-    f_y_q = float(np.mean(fy**q))
-    f_xy_q = float(np.mean(np.sign(cross) * np.abs(cross) ** (q / 2.0)))
-    return FluctuationSet(scale=scale, q=q, f_x_q=f_x_q, f_y_q=f_y_q,
-                          f_xy_q=f_xy_q, n_segments=fx.size, n_skipped=n_skipped)
+    """Order-q aggregation of the per-segment statistics of one row."""
+    f_x_q, f_y_q, f_xy_q, kept = (v[0].item() for v in _q_moments(fx, fy, cross, (q,)))
+    if kept < 1:
+        raise DegenerateFluctuationError(f"scale {scale}: every segment degenerate at q={q}")
+    return FluctuationSet(scale=scale, q=q, f_x_q=f_x_q, f_y_q=f_y_q, f_xy_q=f_xy_q,
+                          n_segments=int(kept), n_skipped=fx.size - int(kept))
 
 
 def rho_q_rows(fx: np.ndarray, fy: np.ndarray, cross: np.ndarray, qs) -> np.ndarray:
     """Capped coefficient of every row and order at once: per-segment
     statistics of shape (..., n_seg) give shape (..., len(qs)).
 
-    Row by row this is aggregate_q followed by rho_q_dmca, to the same bits
-    unless segments are skipped at q < 0 (the kept ones are then summed in
-    another order).  NaN marks a cell where those raise (F_x^q F_y^q <= 0,
-    or no segment left at q < 0) or give NaN.
+    Row by row this is aggregate_q followed by rho_q_dmca, to the same
+    bits.  NaN marks a cell where those raise (F_x^q F_y^q <= 0, or no
+    segment left at q < 0) or give NaN.
     """
-    num = np.empty(fx.shape[:-1] + (len(qs),))
-    denom = np.empty_like(num)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i, q in enumerate(qs):
-            q = float(q)  # a scalar power takes numpy's square/copy shortcuts, as in aggregate_q
-            keep = (fx > 0) & (fy > 0) if q < 0 else None
-            denom[..., i] = _kept_mean(fx**q, keep) * _kept_mean(fy**q, keep)
-            num[..., i] = _kept_mean(np.sign(cross) * np.abs(cross) ** (q / 2.0), keep)
-        raw = num / np.sqrt(np.where(denom > 0.0, denom, np.nan))
+    f_x_q, f_y_q, f_xy_q, _ = _q_moments(fx, fy, cross, qs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = f_x_q * f_y_q
+        raw = f_xy_q / np.sqrt(np.where(denom > 0.0, denom, np.nan))
         return np.where(np.abs(raw) > 1.0, 1.0 / raw, raw)
-
-
-def _kept_mean(v: np.ndarray, keep) -> np.ndarray:
-    """Mean along the last axis over the entries where keep holds (all of
-    them if keep is None)."""
-    if keep is None:
-        return v.mean(axis=-1)
-    return np.where(keep, v, 0.0).sum(axis=-1) / keep.sum(axis=-1)
 
 
 def q_fluctuations(pair: AlignedPair, cfg: DetrendConfig, method: str = "q-DMCA") -> list:
@@ -291,11 +279,6 @@ def q_fluctuations(pair: AlignedPair, cfg: DetrendConfig, method: str = "q-DMCA"
                  else _dcca_segment_stats(px, py, s))
         out.append(aggregate_q(s, cfg.q, *stats))
     return out
-
-
-def q_fluctuations_dcca(pair: AlignedPair, scale_grid, q: float) -> list:
-    """Box-splitting (linear-detrending) fluctuation functions of a pair."""
-    return q_fluctuations(pair, DetrendConfig(scale_grid=tuple(scale_grid), q=q), "q-DCCA")
 
 
 def rho_q_dmca(fs: FluctuationSet):
@@ -324,10 +307,7 @@ def rho_dmca_classic(pair: AlignedPair, s: int, theta: float = 0.5) -> float:
     segment-averaged coefficient may differ by the trailing-point truncation.
     """
     DetrendConfig(scale_grid=(s,), theta=theta).check_length(len(pair))
-    px = np.cumsum(pair.x.values)
-    py = np.cumsum(pair.y.values)
-    rx = dma_residual(px, s, theta).values
-    ry = dma_residual(py, s, theta).values
+    rx, ry = (_residual(np.cumsum(v.values), s, theta) for v in (pair.x, pair.y))
     f2x = float(np.mean(rx**2))
     f2y = float(np.mean(ry**2))
     if f2x <= 0.0 or f2y <= 0.0:

@@ -68,19 +68,15 @@ def ols_fit(x: np.ndarray, y: np.ndarray) -> tuple:
     return slope, y.mean(axis=-1) - slope * x_mean
 
 
-def fit_power_law(points, fit_range=None) -> ScalingFit:
+def fit_power_law(points) -> ScalingFit:
     """Fit value ~ scale^exponent by OLS on the log-log pairs.
 
-    ``points`` is a sequence of (scale, value) with value > 0; ``fit_range``
-    restricts the fit to scales inside [s_lo, s_hi] (default: all points).
+    ``points`` is a sequence of (scale, value) with value > 0; the fit range
+    is the smallest to the largest scale.
     """
-    pts = [(int(s), float(v)) for s, v in points]
-    if fit_range is None:
-        fit_range = (min(s for s, _ in pts), max(s for s, _ in pts))
-    lo, hi = int(fit_range[0]), int(fit_range[1])
-    used = [(s, v) for s, v in pts if lo <= s <= hi]
+    used = [(int(s), float(v)) for s, v in points]
     if len(used) < 3:
-        raise InputError(f"need at least 3 points in fit range [{lo}, {hi}], got {len(used)}")
+        raise InputError(f"need at least 3 points to fit, got {len(used)}")
     for s, v in used:
         if v <= 0.0:
             raise InputError(f"non-positive value {v} at scale {s} inside fit range")
@@ -94,7 +90,7 @@ def fit_power_law(points, fit_range=None) -> ScalingFit:
         exponent=float(slope),
         intercept=float(intercept),
         r_squared=r2,
-        fit_range=(lo, hi),
+        fit_range=(min(s for s, _ in used), max(s for s, _ in used)),
         n_points=len(used),
     )
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -86,16 +86,7 @@ class DescriptiveStats:
     jarque_bera_p_value: float
 
     def to_dict(self) -> dict:
-        return {
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-            "std_dev": self.std_dev,
-            "skewness": self.skewness,
-            "kurtosis": self.kurtosis,
-            "jarque_bera_statistic": self.jarque_bera_statistic,
-            "jarque_bera_p_value": self.jarque_bera_p_value,
-        }
+        return asdict(self)
 
 
 def _is_number(token: str) -> bool:

@@ -135,6 +135,22 @@ def _surrogate_block(x, y, cand_x, cand_y, cfg: DetrendConfig, iaaft: IaaftConfi
     return _rho_rows(px, py, cfg, qs)
 
 
+def _score_new_pairs(x, y, n: int, rng_x, rng_y, cfg: DetrendConfig, iaaft: IaaftConfig,
+                     qs) -> np.ndarray:
+    """_rho_rows of n new IAAFT surrogate pairs, in blocks of at most
+    BLOCK_POINTS points, each block one _surrogate_block job.
+
+    Every initial row is drawn here, all of x's, then all of y's, so no
+    result depends on how the rows are cut into jobs or where they run.
+    """
+    cand_x, cand_y = _permutations(x, n, rng_x), _permutations(y, n, rng_y)
+    rows = max(1, BLOCK_POINTS // x.size)
+    jobs = [(x, y, cand_x[a:a + rows], cand_y[a:a + rows], cfg, iaaft, qs)
+            for a in range(0, n, rows)]
+    return np.concatenate(list(_run_jobs(_surrogate_block, jobs,
+                                         [len(job[2]) for job in jobs])))
+
+
 def surrogate_test(pair: AlignedPair, cfg: DetrendConfig, n_surrogates: int = 1000,
                    iaaft: IaaftConfig = IaaftConfig(), qs=None) -> list:
     """Two-tailed surrogate test of the scale-wise coefficient, for each q of
@@ -142,8 +158,9 @@ def surrogate_test(pair: AlignedPair, cfg: DetrendConfig, n_surrogates: int = 10
 
     p = (#{|rho_s - mean| >= |rho_obs - mean|} + 1) / (n + 1); the add-one
     correction keeps p strictly positive.  A surrogate pair that is
-    degenerate in any (q, scale) cell is regenerated with fresh seeds
-    (capped), then counted out.  Reports are ordered by q, then by scale.
+    degenerate in any (q, scale) cell is regenerated from later draws of
+    the same streams (capped), then counted out.  Reports are ordered by q,
+    then by scale.
     """
     if n_surrogates < 100:
         raise InputError(f"n_surrogates={n_surrogates} < 100")
@@ -159,26 +176,26 @@ def surrogate_test(pair: AlignedPair, cfg: DetrendConfig, n_surrogates: int = 10
 
     # Streams are keyed on series content, not argument position, so that
     # swapping the pair yields the same surrogates and identical p-values.
-    # Every initial permutation is drawn here, all of x's, then all of y's,
-    # so no result depends on how the rows are cut into jobs.
     rng_x = _series_rng(iaaft.seed, x)
     rng_y = _series_rng(iaaft.seed, y)
-    cand_x = _permutations(x, n_surrogates, rng_x)
-    cand_y = _permutations(y, n_surrogates, rng_y)
-    rows = max(1, BLOCK_POINTS // len(pair))
-    jobs = [(x, y, cand_x[a:a + rows], cand_y[a:a + rows], cfg, iaaft, qs)
-            for a in range(0, n_surrogates, rows)]
-    surr_rhos = np.concatenate(list(_run_jobs(_surrogate_block, jobs,
-                                              [len(job[2]) for job in jobs])))
+    surr_rhos = _score_new_pairs(x, y, n_surrogates, rng_x, rng_y, cfg, iaaft, qs)
 
+    # Retry pairs are drawn from the same streams and handed out in draw
+    # order: the first degenerate row takes pairs until one is not
+    # degenerate or MAX_REGENERATION_RETRIES have failed, then the next row.
+    # Every unsettled row needs at least one more pair, so a round of that
+    # many pairs draws none that a one-pair-at-a-time loop would not draw.
     failed = np.isnan(surr_rhos).any(axis=(1, 2))
-    for i in np.flatnonzero(failed):  # in row order, so the retries draw as before
-        for _ in range(MAX_REGENERATION_RETRIES):
-            rhos = _rho_all_scales(np.cumsum(_iaaft_ensemble(x, 1, iaaft, rng_x)[0]),
-                                   np.cumsum(_iaaft_ensemble(y, 1, iaaft, rng_y)[0]), cfg, qs)
-            if rhos is not None:
-                surr_rhos[i], failed[i] = rhos, False
-                break
+    pending, tries = list(np.flatnonzero(failed)), 0
+    while pending:
+        for rhos in _score_new_pairs(x, y, len(pending), rng_x, rng_y, cfg, iaaft, qs):
+            tries += 1
+            ok = not np.isnan(rhos).any()
+            if ok:
+                surr_rhos[pending[0]], failed[pending[0]] = rhos, False
+            if ok or tries == MAX_REGENERATION_RETRIES:
+                del pending[0]
+                tries = 0
 
     n_failed = int(failed.sum())
     if n_failed == n_surrogates:

@@ -421,6 +421,7 @@ class TestDescribeCommand:
     ["test", "x.csv", "y.csv", "--threads", "2"],
     ["benchmark", "--threads", "2"],
     ["benchmark", "--scales", "1,2"],
+    ["describe", "x.csv", "--format", "csv"],  # describe writes JSON only
 ])
 def test_removed_flags_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -469,6 +470,44 @@ class TestRerun:
     def test_missing_manifest_exit_2(self, tmp_path, capsys):
         assert main(["rerun", str(tmp_path / "none.json")]) == 2
         assert "no such file" in capsys.readouterr().err
+
+    @staticmethod
+    def _analyze(xp, yp, out):
+        assert main(["analyze", str(xp), str(yp), "--column", "close",
+                     "--scales", "10,20", "--out-dir", str(out)]) == 0
+        return out / "analyze_manifest.json"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p.write_bytes(p.read_bytes() + b"2000-01-01,1.0\n"), "changed since"),
+        (lambda p: p.unlink(), "cannot be read"),
+    ], ids=["changed", "missing"])
+    def test_changed_or_missing_input_exit_2(self, price_files, tmp_path, capsys, edit,
+                                             message):
+        xp, yp = price_files
+        manifest = self._analyze(xp, yp, tmp_path / "out")
+        (tmp_path / "out" / "correlation_profile.csv").unlink()
+        edit(yp)
+        capsys.readouterr()
+        assert main(["rerun", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: input ") and str(yp) in err and message in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out" / "correlation_profile.csv").exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("tool_version", "0.0.1", "tool version 0.0.1, this is"),
+        ("input_digests", ["x.csv"], "input_digests must be"),
+    ], ids=["version", "digests"])
+    def test_other_version_or_bad_digests_exit_2(self, price_files, tmp_path, capsys, field,
+                                                 value, message):
+        manifest = self._analyze(*price_files, tmp_path / "out")
+        payload = json.loads(manifest.read_text())
+        payload[field] = value
+        manifest.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["rerun", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 def _src_env() -> dict:

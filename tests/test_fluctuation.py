@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fractal_xcorr import (
     AlignedPair,
@@ -10,7 +12,6 @@ from fractal_xcorr import (
     correlation_profile,
     moving_average,
     q_fluctuations,
-    q_fluctuations_dcca,
     rho_dmca_classic,
     rho_q_dmca,
 )
@@ -33,28 +34,28 @@ def _profile_pair(pair):
 
 class TestMovingAverage:
     def test_centered_hand_example(self):
-        ma = moving_average([1.0, 2.0, 3.0, 4.0, 5.0], 3, theta=0.5)
+        ma, start = moving_average([1.0, 2.0, 3.0, 4.0, 5.0], 3, theta=0.5)
         # value at 1-based position 3 is (2+3+4)/3
-        assert ma.start == 1
-        assert np.allclose(ma.values, [2.0, 3.0, 4.0])
-        assert ma.values[3 - 1 - ma.start] == pytest.approx(3.0)
+        assert start == 1
+        assert np.allclose(ma, [2.0, 3.0, 4.0])
+        assert ma[3 - 1 - start] == pytest.approx(3.0)
 
     def test_backward_hand_example(self):
-        ma = moving_average([1.0, 2.0, 3.0, 4.0], 2, theta=0.0)
+        ma, start = moving_average([1.0, 2.0, 3.0, 4.0], 2, theta=0.0)
         # theta=0: each value averages the point and its predecessor
-        assert ma.start == 1
-        assert np.allclose(ma.values, [1.5, 2.5, 3.5])
+        assert start == 1
+        assert np.allclose(ma, [1.5, 2.5, 3.5])
 
     def test_forward_variant(self):
-        ma = moving_average([1.0, 2.0, 3.0, 4.0], 2, theta=1.0)
-        assert ma.start == 0
-        assert np.allclose(ma.values, [1.5, 2.5, 3.5])
+        ma, start = moving_average([1.0, 2.0, 3.0, 4.0], 2, theta=1.0)
+        assert start == 0
+        assert np.allclose(ma, [1.5, 2.5, 3.5])
 
     def test_constant_profile(self):
         for theta in (0.0, 0.3, 0.5, 1.0):
-            ma = moving_average(np.full(40, 7.0), 9, theta=theta)
-            assert np.allclose(ma.values, 7.0)
-            assert ma.values.size == 32
+            ma, _ = moving_average(np.full(40, 7.0), 9, theta=theta)
+            assert np.allclose(ma, 7.0)
+            assert ma.size == 32
 
     def test_window_errors(self):
         with pytest.raises(InputError):
@@ -71,13 +72,13 @@ class TestRunningSum:
         x = np.cumsum(np.random.default_rng(31).standard_normal(500_000))
         w = np.full(s, 1.0 / s)
         for theta in (0.0, 0.5, 1.0):
-            ma = moving_average(x, s, theta)
-            rms = np.sqrt(np.mean((x[ma.start : ma.stop] - ma.values) ** 2))
-            m = ma.values.size
+            ma, start = moving_average(x, s, theta)
+            m = ma.size
+            rms = np.sqrt(np.mean((x[start : start + m] - ma) ** 2))
             # np.convolve on 400 outputs at the head, middle and tail
             for a in (0, m // 2, m - 400):
                 direct = np.convolve(x[a : a + 399 + s], w, mode="valid")
-                err = np.max(np.abs(ma.values[a : a + 400] - direct))
+                err = np.max(np.abs(ma[a : a + 400] - direct))
                 assert err <= 2e-11 * rms
 
     def test_same_values_on_any_grid(self, pair_1000):
@@ -257,6 +258,24 @@ class TestNegativeQ:
         assert fs.n_segments + fs.n_skipped == 200 // 5 - 1
         assert np.isfinite(fs.f_x_q)
 
+    @pytest.mark.parametrize("q", [-1.0, -2.0, -4.0])
+    def test_skipped_segments_match_the_oracle(self, q):
+        # the oracle's segments with both RMS values nonzero, averaged at order q
+        rng = np.random.default_rng(5)
+        x, y = rng.standard_normal((2, 300))
+        x[:40] = 0.0  # a zero profile: exact zeros in both residuals
+        y[:20] = 0.0
+        fs = q_fluctuations(AlignedPair(TimeSeries(x), TimeSeries(y)),
+                            DetrendConfig(scale_grid=(6,), q=q))[0]
+        rx, ry = (TestSegments._oracle_segments(np.cumsum(v), 6) for v in (x, y))
+        kept = [(np.sqrt(np.mean(np.square(a))), np.sqrt(np.mean(np.square(b))),
+                 np.mean(np.multiply(a, b))) for a, b in zip(rx, ry)]
+        kept = [k for k in kept if k[0] > 0 and k[1] > 0]
+        assert fs.n_skipped > 0 and fs.n_segments == len(kept)
+        want = np.mean([(fx**q, fy**q, np.sign(c) * abs(c) ** (q / 2)) for fx, fy, c in kept],
+                       axis=0)
+        assert (fs.f_x_q, fs.f_y_q, fs.f_xy_q) == pytest.approx(tuple(want), rel=1e-10)
+
 
 class TestClassicDmca:
     def test_identity_exact(self, pair_1000):
@@ -286,18 +305,18 @@ class TestDcca:
     def test_identity(self, pair_1000):
         same = AlignedPair(pair_1000.x, pair_1000.x)
         for q in (2.0, 4.0):
-            for fs in q_fluctuations_dcca(same, (5, 10, 50), q):
+            for fs in q_fluctuations(same, DetrendConfig(scale_grid=(5, 10, 50), q=q), "q-DCCA"):
                 rho, _ = rho_q_dmca(fs)
                 assert rho == pytest.approx(1.0, abs=1e-12)
 
     def test_box_count_pooled(self, pair_1000):
-        fs = q_fluctuations_dcca(pair_1000, (30,), 2.0)[0]
+        fs = q_fluctuations(pair_1000, DetrendConfig(scale_grid=(30,)), "q-DCCA")[0]
         assert fs.n_segments == 2 * (1000 // 30)
 
     def test_linear_pair_degenerate(self):
         t = np.arange(100.0)
         pair = AlignedPair(TimeSeries(np.full(100, 2.0)), TimeSeries(np.full(100, 3.0)))
-        fs = q_fluctuations_dcca(pair, (10,), 2.0)[0]
+        fs = q_fluctuations(pair, DetrendConfig(scale_grid=(10,)), "q-DCCA")[0]
         with pytest.raises(DegenerateFluctuationError):
             rho_q_dmca(fs)
         assert t.size == 100  # profile of a constant series is exactly linear
@@ -348,12 +367,11 @@ class TestBatchedSegmentStats:
     def test_moving_average_any_leading_shape(self):
         px, _ = self._stack(5000, rows=6)
         for s in (16, 64, 65, 1000):
-            stack = moving_average(px.reshape(2, 3, -1), s, 0.3)
-            assert stack.values.shape == (2, 3, 5000 - s + 1)
-            assert stack.stop == moving_average(px[0], s, 0.3).stop
+            stack, start = moving_average(px.reshape(2, 3, -1), s, 0.3)
+            assert stack.shape == (2, 3, 5000 - s + 1)
+            assert start == moving_average(px[0], s, 0.3)[1]
             for i, row in enumerate(px):
-                assert np.array_equal(stack.values.reshape(6, -1)[i],
-                                      moving_average(row, s, 0.3).values)
+                assert np.array_equal(stack.reshape(6, -1)[i], moving_average(row, s, 0.3)[0])
 
     def test_profiles_left_unchanged(self):
         px, py = self._stack(1000, rows=2)
@@ -361,6 +379,21 @@ class TestBatchedSegmentStats:
         _dma_segment_stats(px, py, 100, 0.5)
         _dcca_segment_stats(px, py, 200)
         assert np.array_equal(px, before[0]) and np.array_equal(py, before[1])
+
+
+@st.composite
+def _stats_and_orders(draw):
+    """Per-segment (fx, fy, cross) of a few rows, with zero entries, and
+    finite nonzero orders of both signs."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 24)))
+
+    def zero_or(lo):
+        return draw(hnp.arrays(float, shape, elements=st.one_of(st.just(0.0),
+                                                               st.floats(lo, 1e3))))
+
+    qs = draw(st.lists(st.one_of(st.floats(-6.0, -0.1), st.floats(0.1, 6.0)),
+                       min_size=1, max_size=4))
+    return zero_or(1e-3), zero_or(1e-3), zero_or(-1e3), qs
 
 
 class TestRhoQRows:
@@ -387,10 +420,7 @@ class TestRhoQRows:
         for i in range(6):
             for k, q in enumerate(self.QS):
                 want = self._scalar(fx[i], fy[i], cross[i], q)
-                if np.isnan(want):
-                    assert np.isnan(got[i, k]), (i, q)
-                else:
-                    assert abs(got[i, k] - want) <= 1e-14 * max(1.0, abs(want)), (i, q)
+                assert np.array_equal(got[i, k], want, equal_nan=True), (i, q)
         assert np.isnan(got[3]).all()
         assert np.isnan(got[4, 3:]).all() and not np.isnan(got[4, :3]).any()
 
@@ -404,6 +434,20 @@ class TestRhoQRows:
                 for i in range(6):
                     for k, q in enumerate(qs):
                         assert got[i, k] == self._scalar(*(v[i] for v in stats), q), (s, i, q)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_stats_and_orders())
+    def test_rows_are_the_scalar_path_bit_for_bit(self, drawn):
+        fx, fy, cross, qs = drawn
+        got = rho_q_rows(fx, fy, cross, qs)
+        for i in range(fx.shape[0]):
+            for k, q in enumerate(qs):
+                try:
+                    want = rho_q_dmca(aggregate_q(10, q, fx[i], fy[i], cross[i]))[0]
+                except DegenerateFluctuationError:
+                    assert np.isnan(got[i, k]), (i, q)
+                else:  # NaN where a zero cross product meets q < 0
+                    assert np.array_equal(got[i, k], want, equal_nan=True), (i, q)
 
     def test_capped_branch(self):
         # |F_xy^q| > sqrt(F_x^q F_y^q) at q < 0 returns the reciprocal

@@ -329,6 +329,27 @@ class TestSurrogateBlocks:
         assert not np.array_equal(got[0].surrogate_values, want[0].surrogate_values)
 
 
+    def test_degenerate_rows_retried_in_block_jobs(self, monkeypatch, pair):
+        # rows 37 and 61 degenerate (see above): one round of two retry pairs
+        # goes through the same block runner as the ensemble
+        sx = _iaaft_ensemble(pair.x.values, 100, self.iaaft,
+                             _series_rng(self.iaaft.seed, pair.x.values))
+        mark_degenerate(monkeypatch, sx[[37, 61], 0])
+        calls = []
+        run_jobs = benchmark._run_jobs
+
+        def record(fn, jobs, sizes):
+            calls.append((fn, sizes))
+            return run_jobs(fn, jobs, sizes)
+
+        monkeypatch.setattr(surrogate, "_run_jobs", record)
+        monkeypatch.setattr(benchmark, "_cpu_count", lambda: 1)
+        reports = surrogate_test(pair, self.cfg, n_surrogates=100, iaaft=self.iaaft, qs=self.qs)
+        assert reports[0].n_failed == 0
+        assert [(fn, sum(sizes)) for fn, sizes in calls] == [(surrogate._surrogate_block, 100),
+                                                            (surrogate._surrogate_block, 2)]
+
+
 class TestClassify:
     def _report(self, q, rho, p):
         return SurrogateTestReport(scale=20, q=q, observed_rho=rho,
