@@ -14,7 +14,6 @@ from .series import (
     AlignedPair,
     DescriptiveStats,
     TimeSeries,
-    cumulative_profile,
     describe,
     load_csv,
     log_returns,
@@ -26,7 +25,6 @@ from .fluctuation import (
     correlation_profile,
     moving_average,
     q_fluctuations,
-    rho_dmca_classic,
     rho_q_dmca,
 )
 from .scaling import (

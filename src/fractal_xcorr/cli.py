@@ -18,7 +18,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .benchmark import BenchmarkConfig, benchmark_cells, run_benchmark
+from .benchmark import BenchmarkConfig, run_benchmark
 from .errors import DegenerateFluctuationError, InputError
 from .fluctuation import DetrendConfig, correlation_profile
 from .mc_arfima import McArfimaSpec, generate
@@ -58,13 +58,11 @@ def _resolve_seed(args) -> int:
     seed = getattr(args, "seed", None)
     if seed is not None:
         return seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InputError(f"{SEED_ENV_VAR}={env!r} is not an integer") from None
-    return 0
+    env = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(env)
+    except ValueError:
+        raise InputError(f"{SEED_ENV_VAR}={env!r} is not an integer") from None
 
 
 def _file_digest(path) -> str:
@@ -81,12 +79,8 @@ def _path(args, name: str) -> Path:
     return Path(args.cwd or "", getattr(args, name))
 
 
-def _input_digests(args, *names) -> dict:
-    return {getattr(args, n): _file_digest(_path(args, n)) for n in names}
-
-
 def _write_manifest(out_dir: Path, subcommand: str, config: dict, seed: int,
-                    inputs: dict, argv: list, cwd) -> tuple:
+                    inputs: dict, argv: list, cwd) -> str:
     manifest = {
         "subcommand": subcommand,
         "config": config,
@@ -98,9 +92,8 @@ def _write_manifest(out_dir: Path, subcommand: str, config: dict, seed: int,
     }
     text = json.dumps(manifest, indent=2, sort_keys=True)
     digest = hashlib.sha256(text.encode()).hexdigest()[:16]
-    path = out_dir / f"{subcommand}_manifest.json"
-    path.write_text(text + "\n")
-    return path, digest
+    (out_dir / f"{subcommand}_manifest.json").write_text(text + "\n")
+    return digest
 
 
 def _result_header(digest: str) -> str:
@@ -119,12 +112,33 @@ def _write_json(path: Path, digest: str, payload):
     path.write_text(json.dumps({"manifest": digest, "results": payload}, indent=2) + "\n")
 
 
-def _load_pair(args) -> AlignedPair:
-    x = load_csv(_path(args, "x_csv"), args.column)
-    y = load_csv(_path(args, "y_csv"), args.column)
-    if args.returns == "log":
-        x, y = log_returns(x), log_returns(y)
-    return AlignedPair(x, y)
+def _save(args, argv, config: dict, inputs=(), seed=None, tables=(), json_name=None,
+          results=None) -> str:
+    """Write the manifest, then the result files --format selects, and
+    return the manifest digest.  tables are (file name, field names, rows)
+    CSV files and results is the payload of json_name; a command without
+    --format writes both.  The out-dir is created only here, so a run that
+    fails before its writes leaves none."""
+    out_dir = _path(args, "out_dir")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    digest = _write_manifest(out_dir, args.command, config,
+                             _resolve_seed(args) if seed is None else seed,
+                             {getattr(args, n): _file_digest(_path(args, n)) for n in inputs},
+                             argv, args.cwd)
+    fmt = getattr(args, "format", "both")
+    if fmt in ("csv", "both"):
+        for name, fieldnames, rows in tables:
+            _write_csv(out_dir / name, digest, fieldnames, rows)
+    if json_name and fmt in ("json", "both"):
+        _write_json(out_dir / json_name, digest, results)
+    return digest
+
+
+def _load(args, *names) -> list:
+    """The series in the CSV files of the path arguments ``names``, as log
+    returns unless --returns raw."""
+    series = [load_csv(_path(args, n), args.column) for n in names]
+    return [log_returns(s) for s in series] if args.returns == "log" else series
 
 
 def _clip_grid(scales: tuple, n: int, explicit: bool) -> tuple:
@@ -226,24 +240,17 @@ def _detrend_configs(args, n: int):
 
 
 def cmd_analyze(args, argv) -> int:
-    out_dir = _path(args, "out_dir")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    pair = _load_pair(args)
+    pair = AlignedPair(*_load(args, "x_csv", "y_csv"))
     configs = _detrend_configs(args, len(pair))
     rows = []
     for cfg in configs:
         profile = correlation_profile(pair, cfg, method=args.method)
         rows.extend(profile.to_records())
-    inputs = _input_digests(args, "x_csv", "y_csv")
     config = {"method": args.method, "theta": args.theta, "returns": args.returns,
               "qs": [c.q for c in configs], "scales": list(configs[0].scale_grid)}
-    _, digest = _write_manifest(out_dir, "analyze", config, _resolve_seed(args), inputs,
-                                argv, args.cwd)
-    if args.format in ("csv", "both"):
-        _write_csv(out_dir / "correlation_profile.csv", digest,
-                   ["scale", "q", "method", "rho", "capped"], rows)
-    if args.format in ("json", "both"):
-        _write_json(out_dir / "correlation_profile.json", digest, rows)
+    _save(args, argv, config, inputs=("x_csv", "y_csv"),
+          tables=[("correlation_profile.csv", ["scale", "q", "method", "rho", "capped"], rows)],
+          json_name="correlation_profile.json", results=rows)
     for r in rows:
         print(f"{r['method']} q={r['q']:g} s={r['scale']:>5d}  rho={r['rho']:+.4f}"
               f"{' (capped)' if r['capped'] else ''}")
@@ -270,8 +277,6 @@ def _read_spec(path: Path) -> McArfimaSpec:
 
 
 def cmd_simulate(args, argv) -> int:
-    out_dir = _path(args, "out_dir")
-    out_dir.mkdir(parents=True, exist_ok=True)
     seed = _resolve_seed(args)
     if args.spec_json:
         spec = _read_spec(_path(args, "spec_json"))
@@ -280,12 +285,11 @@ def cmd_simulate(args, argv) -> int:
                             cross_corr=args.cross_corr, length=args.length,
                             truncation=args.truncation, seed=seed)
     sample = generate(spec)
-    inputs = _input_digests(args, "spec_json") if args.spec_json else {}
-    _, digest = _write_manifest(out_dir, "simulate", spec.to_dict(), spec.seed, inputs, argv,
-                                args.cwd)
+    digest = _save(args, argv, spec.to_dict(), inputs=("spec_json",) if args.spec_json else (),
+                   seed=spec.seed)
     for name, series in (("x", sample.x), ("y", sample.y)):
-        path = out_dir / f"simulated_{name}.csv"
-        with open(path, "w", newline="") as fh:
+        # "\n" line ends: csv.DictWriter (_write_csv) would end each row in "\r\n"
+        with open(_path(args, "out_dir") / f"simulated_{name}.csv", "w", newline="") as fh:
             fh.write(_result_header(digest) + "\n")
             fh.write(name + "\n")
             fh.writelines(f"{v:.17g}\n" for v in series.values)
@@ -314,9 +318,6 @@ def _benchmark_table_rows(reports, method: str, q: float, cross_corrs):
 
 
 def cmd_benchmark(args, argv) -> int:
-    out_dir = _path(args, "out_dir")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    seed = _resolve_seed(args)
     cross_corrs = _parse_list(args.cross_corrs, "--cross-corrs", float)
     cfg = BenchmarkConfig(
         lengths=_parse_list(args.lengths, "--lengths", int),
@@ -325,13 +326,9 @@ def cmd_benchmark(args, argv) -> int:
         replications=args.reps,
         dcca_n_min=_parse_list(args.n_min, "--n-min", int),
         dmca_s_max=_parse_list(args.s_max, "--s-max", int),
-        master_seed=seed,
+        master_seed=_resolve_seed(args),
         theta=args.theta,
     )
-    benchmark_cells(cfg)  # reject a grid that cannot run before the manifest is written
-    config = {k: list(v) if isinstance(v, tuple) else v
-              for k, v in vars(cfg).items()}
-    _, digest = _write_manifest(out_dir, "benchmark", config, seed, {}, argv, args.cwd)
 
     def progress(rep):
         print(f"{rep.method} q={rep.q:g} N={rep.length} rho={rep.cross_corr:g} "
@@ -339,29 +336,23 @@ def cmd_benchmark(args, argv) -> int:
               f"mse={rep.mse:.4f} (n={rep.n_effective})")
 
     reports = run_benchmark(cfg, progress=progress)
-    if args.format in ("json", "both"):
-        _write_json(out_dir / "benchmark.json", digest, [r.to_dict() for r in reports])
-    if args.format in ("csv", "both"):
-        for method in ("DCCA", "DMCA"):
-            for q in cfg.qs:
-                rows = _benchmark_table_rows(reports, method, q, cross_corrs)
-                if not rows:
-                    continue
-                _write_csv(out_dir / f"benchmark_{method.lower()}_q{q:g}.csv",
-                           digest, list(rows[0].keys()), rows)
+    tables = [(f"benchmark_{method.lower()}_q{q:g}.csv", list(rows[0].keys()), rows)
+              for method in ("DCCA", "DMCA") for q in cfg.qs
+              if (rows := _benchmark_table_rows(reports, method, q, cross_corrs))]
+    config = {k: list(v) if isinstance(v, tuple) else v for k, v in vars(cfg).items()}
+    _save(args, argv, config, tables=tables, json_name="benchmark.json",
+          results=[r.to_dict() for r in reports])
     return EXIT_OK
 
 
 def cmd_test(args, argv) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise InputError(f"--alpha {args.alpha} outside (0, 1)")
-    out_dir = _path(args, "out_dir")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    seed = _resolve_seed(args)
-    pair = _load_pair(args)
+    pair = AlignedPair(*_load(args, "x_csv", "y_csv"))
     configs = _detrend_configs(args, len(pair))
     reports = surrogate_test(pair, configs[0], n_surrogates=args.surrogates,
-                             iaaft=IaaftConfig(seed=seed), qs=[c.q for c in configs])
+                             iaaft=IaaftConfig(seed=_resolve_seed(args)),
+                             qs=[c.q for c in configs])
     if reports[0].n_failed:
         print(f"note: {reports[0].n_failed} of {args.surrogates} surrogate pairs degenerate "
               "after retries", file=sys.stderr)
@@ -375,60 +366,42 @@ def cmd_test(args, argv) -> int:
         })
         print(f"q={rep.q:g} s={rep.scale:>5d}  rho={rep.observed_rho:+.4f}"
               f"{stars(rep.p_value):<3} p={rep.p_value:.3f}  {label}")
-    inputs = _input_digests(args, "x_csv", "y_csv")
     config = {"theta": args.theta, "returns": args.returns, "alpha": args.alpha,
               "n_surrogates": args.surrogates, "n_failed": reports[0].n_failed,
               "qs": [c.q for c in configs], "scales": list(configs[0].scale_grid)}
-    _, digest = _write_manifest(out_dir, "test", config, seed, inputs, argv, args.cwd)
-    if args.format in ("csv", "both"):
-        _write_csv(out_dir / "surrogate_test.csv", digest,
-                   ["scale", "q", "statistic", "stars", "p_value", "classification"], rows)
-    if args.format in ("json", "both"):
-        _write_json(out_dir / "surrogate_test.json", digest, rows)
+    _save(args, argv, config, inputs=("x_csv", "y_csv"),
+          tables=[("surrogate_test.csv", list(rows[0].keys()), rows)],
+          json_name="surrogate_test.json", results=rows)
     return EXIT_OK
 
 
 def cmd_portfolio(args, argv) -> int:
-    out_dir = _path(args, "out_dir")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    pair = _load_pair(args)
+    pair = AlignedPair(*_load(args, "x_csv", "y_csv"))
     configs = _detrend_configs(args, len(pair))
     metrics = portfolio_scan(pair, configs[0], qs=[c.q for c in configs])
-    inputs = _input_digests(args, "x_csv", "y_csv")
+    # Table layout: one row per (q, measure), scales across the columns.
+    scales = sorted({m.scale for m in metrics})
+    rows = []
+    for q in sorted({m.q for m in metrics}):
+        per_scale = {m.scale: m for m in metrics if m.q == q}
+        rows.append({"q": q, "measure": "w_g",
+                     **{f"s{s}": round(per_scale[s].w_g, 4) for s in scales}})
+        rows.append({"q": q, "measure": "beta",
+                     **{f"s{s}": round(per_scale[s].beta, 4) for s in scales}})
     config = {"theta": args.theta, "returns": args.returns,
               "qs": [c.q for c in configs], "scales": list(configs[0].scale_grid)}
-    _, digest = _write_manifest(out_dir, "portfolio", config, _resolve_seed(args), inputs,
-                                argv, args.cwd)
-    if args.format in ("json", "both"):
-        _write_json(out_dir / "portfolio.json", digest, [m.to_dict() for m in metrics])
-    if args.format in ("csv", "both"):
-        # Table layout: one row per (q, measure), scales across the columns.
-        scales = sorted({m.scale for m in metrics})
-        rows = []
-        for q in sorted({m.q for m in metrics}):
-            per_scale = {m.scale: m for m in metrics if m.q == q}
-            rows.append({"q": q, "measure": "w_g",
-                         **{f"s{s}": round(per_scale[s].w_g, 4) for s in scales}})
-            rows.append({"q": q, "measure": "beta",
-                         **{f"s{s}": round(per_scale[s].beta, 4) for s in scales}})
-        _write_csv(out_dir / "portfolio.csv", digest, list(rows[0].keys()), rows)
+    _save(args, argv, config, inputs=("x_csv", "y_csv"),
+          tables=[("portfolio.csv", list(rows[0].keys()), rows)],
+          json_name="portfolio.json", results=[m.to_dict() for m in metrics])
     for m in metrics:
         print(f"q={m.q:g} s={m.scale:>5d}  w_g={m.w_g:.4f}  beta={m.beta:+.4f}")
     return EXIT_OK
 
 
 def cmd_describe(args, argv) -> int:
-    out_dir = _path(args, "out_dir")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    series = load_csv(_path(args, "x_csv"), args.column)
-    if args.returns == "log":
-        series = log_returns(series)
-    result = describe(series).to_dict()
-    inputs = _input_digests(args, "x_csv")
-    config = {"returns": args.returns, "column": args.column}
-    _, digest = _write_manifest(out_dir, "describe", config, _resolve_seed(args), inputs,
-                                argv, args.cwd)
-    _write_json(out_dir / "describe.json", digest, result)
+    result = describe(*_load(args, "x_csv")).to_dict()
+    _save(args, argv, {"returns": args.returns, "column": args.column}, inputs=("x_csv",),
+          json_name="describe.json", results=result)
     print(json.dumps(result, indent=2))
     return EXIT_OK
 

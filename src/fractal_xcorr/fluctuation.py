@@ -298,23 +298,6 @@ def rho_q_dmca(fs: FluctuationSet):
     return raw, False
 
 
-def rho_dmca_classic(pair: AlignedPair, s: int, theta: float = 0.5) -> float:
-    """Classic (second-order, whole-sample) DMCA coefficient at one scale.
-
-    Variance and covariance are plain means of the residual products over
-    the full valid index range, with no segmentation; this is why the
-    coefficient equals 1 exactly for identical series while the q=2
-    segment-averaged coefficient may differ by the trailing-point truncation.
-    """
-    DetrendConfig(scale_grid=(s,), theta=theta).check_length(len(pair))
-    rx, ry = (_residual(np.cumsum(v.values), s, theta) for v in (pair.x, pair.y))
-    f2x = float(np.mean(rx**2))
-    f2y = float(np.mean(ry**2))
-    if f2x <= 0.0 or f2y <= 0.0:
-        raise DegenerateFluctuationError(f"scale {s}: degenerate DMA variance")
-    return float(np.mean(rx * ry)) / math.sqrt(f2x * f2y)
-
-
 def correlation_profile(pair: AlignedPair, cfg: DetrendConfig,
                         method: str = "q-DMCA") -> CorrelationProfile:
     """Scale-wise coefficient profile for one of the two estimators."""

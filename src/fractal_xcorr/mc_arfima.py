@@ -17,7 +17,6 @@ import numpy as np
 from .errors import InputError
 from .series import TimeSeries
 
-CANONICAL = dict(d1=0.4, d2=0.2, d3=0.2, d4=0.4)  # theoretical coherency exponent -0.2
 _REAL_FIELDS = ("d1", "d2", "d3", "d4", "alpha", "beta", "gamma", "delta", "cross_corr")
 _INT_FIELDS = ("length", "truncation", "seed")
 

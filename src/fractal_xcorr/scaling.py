@@ -29,16 +29,6 @@ class ScalingFit:
     fit_range: tuple  # (s_lo, s_hi)
     n_points: int
 
-    def to_dict(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "s_lo": self.fit_range[0],
-            "s_hi": self.fit_range[1],
-            "n_points": self.n_points,
-        }
-
 
 @dataclass(frozen=True)
 class CoherencyEstimate:

@@ -1,4 +1,4 @@
-"""Series ingestion, log returns, descriptive statistics and profiles."""
+"""Series ingestion, log returns and descriptive statistics."""
 
 from __future__ import annotations
 
@@ -16,11 +16,10 @@ MIN_PAIR_LENGTH = 20
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Ordered, finite, real-valued observations with optional timestamps."""
+    """Ordered, finite, real-valued observations."""
 
     values: np.ndarray
     label: str = ""
-    timestamps: np.ndarray | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -30,15 +29,6 @@ class TimeSeries:
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
             raise InputError(f"series {self.label!r}: non-finite value at index {bad}")
         object.__setattr__(self, "values", vals)
-        if self.timestamps is not None:
-            ts = np.asarray(self.timestamps, dtype=np.int64)
-            if ts.shape != vals.shape:
-                raise InputError(
-                    f"series {self.label!r}: {ts.size} timestamps for {vals.size} values"
-                )
-            if ts.size > 1 and not np.all(np.diff(ts) > 0):
-                raise InputError(f"series {self.label!r}: timestamps not strictly increasing")
-            object.__setattr__(self, "timestamps", ts)
 
     def __len__(self) -> int:
         return self.values.size
@@ -46,7 +36,7 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class AlignedPair:
-    """Two series of identical length (and identical timestamps, if any)."""
+    """Two series of identical length."""
 
     x: TimeSeries
     y: TimeSeries
@@ -59,9 +49,6 @@ class AlignedPair:
             )
         if len(self.x) < MIN_PAIR_LENGTH:
             raise InputError(f"aligned pair too short: N={len(self.x)} < {MIN_PAIR_LENGTH}")
-        if self.x.timestamps is not None and self.y.timestamps is not None:
-            if not np.array_equal(self.x.timestamps, self.y.timestamps):
-                raise InputError("timestamp sequences differ; no interpolation is performed")
 
     def __len__(self) -> int:
         return len(self.x)
@@ -211,15 +198,7 @@ def log_returns(prices: TimeSeries) -> TimeSeries:
             f"series {prices.label!r}: non-positive price {p[nonpos[0]]} "
             f"at index {int(nonpos[0])}"
         )
-    ts = prices.timestamps[1:] if prices.timestamps is not None else None
-    return TimeSeries(np.diff(np.log(p)), label=prices.label, timestamps=ts)
-
-
-def cumulative_profile(x: TimeSeries) -> TimeSeries:
-    """Running sum of the series (the profile every detrending step works on)."""
-    if len(x) < 1:
-        raise InputError(f"series {x.label!r}: empty")
-    return TimeSeries(np.cumsum(x.values), label=x.label, timestamps=x.timestamps)
+    return TimeSeries(np.diff(np.log(p)), label=prices.label)
 
 
 def describe(r: TimeSeries) -> DescriptiveStats:

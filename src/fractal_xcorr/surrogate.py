@@ -11,7 +11,7 @@ two-tailed distance-from-mean p-value.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -168,6 +168,10 @@ def surrogate_test(pair: AlignedPair, cfg: DetrendConfig, n_surrogates: int = 10
         raise InputError(f"pair too short for surrogates: N={len(pair)}")
     cfg.check_length(len(pair))
     qs = (cfg.q,) if qs is None else tuple(qs)
+    if not qs:
+        raise InputError("empty list of fluctuation orders")
+    for q in qs:  # DetrendConfig rejects a zero or non-finite order
+        replace(cfg, q=q)
 
     x, y = pair.x.values, pair.y.values
     observed = _rho_all_scales(np.cumsum(x), np.cumsum(y), cfg, qs)

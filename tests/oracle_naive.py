@@ -1,4 +1,4 @@
-"""Brute-force reference implementation of the moving-average coefficient.
+"""Brute-force reference implementations of the moving-average coefficients.
 
 Deliberately written with explicit loops, 1-based index arithmetic and no
 numpy, so it cannot share bugs with the vectorized engine.  Only suitable
@@ -67,6 +67,24 @@ def naive_q_fluctuations(x, y, s, q, theta):
         f_y += f_v_y**q
         f_xy += math.copysign(abs(cross) ** (q / 2.0), cross)
     return f_x / n_s, f_y / n_s, f_xy / n_s, n_s
+
+
+def rho_dmca_classic(x, y, s, theta):
+    """Classic (second-order, whole-sample) DMCA coefficient at one scale.
+
+    Variance and covariance are plain sums of the residual products over
+    the full valid index range, with no segmentation; this is why the
+    coefficient equals 1 exactly for identical series while the q=2
+    segment-averaged coefficient may differ by the trailing-point truncation.
+    """
+    ex = naive_residual(naive_profile(x), s, theta)
+    ey = naive_residual(naive_profile(y), s, theta)
+    f_xx = f_yy = f_xy = 0.0
+    for a, b in zip(ex, ey):
+        f_xx += a * a
+        f_yy += b * b
+        f_xy += a * b
+    return f_xy / math.sqrt(f_xx * f_yy)
 
 
 def naive_rho(x, y, s, q, theta):

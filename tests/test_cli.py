@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -172,7 +173,6 @@ class TestAnalyze:
         main(["analyze", str(xp), str(yp), "--column", "close",
               "--scales", "10,20", "--out-dir", str(out)])
         manifest_text = (out / "analyze_manifest.json").read_text()
-        import hashlib
         digest = hashlib.sha256(manifest_text.rstrip("\n").encode()).hexdigest()[:16]
         first = (out / "correlation_profile.csv").read_text().splitlines()[0]
         assert first.startswith("# fractal-xcorr v")
@@ -414,6 +414,64 @@ class TestDescribeCommand:
         assert rc == 2
         assert err.startswith("error: ") and "latin.csv" in err and "UTF-8" in err
         assert err.count("\n") == 1
+
+
+class TestFormat:
+    """--format picks the result files; the manifest is always written and a
+    failed run writes nothing, not even its out-dir."""
+
+    FILES = {  # command: (CSV files, JSON files)
+        "analyze": ({"correlation_profile.csv"}, {"correlation_profile.json"}),
+        "test": ({"surrogate_test.csv"}, {"surrogate_test.json"}),
+        "portfolio": ({"portfolio.csv"}, {"portfolio.json"}),
+        "benchmark": ({"benchmark_dcca_q2.csv", "benchmark_dmca_q2.csv"}, {"benchmark.json"}),
+    }
+
+    @staticmethod
+    def _argv(command, xp, yp):
+        if command == "benchmark":
+            return ["benchmark", "--reps", "10", "--lengths", "500", "--cross-corrs", "0.5",
+                    "--n-min", "10", "--s-max", "20", "--q", "2", "--seed", "0"]
+        extra = ["--surrogates", "100"] if command == "test" else []
+        return [command, str(xp), str(yp), "--column", "close", "--scales", "10,20,40",
+                "--seed", "0", *extra]
+
+    @staticmethod
+    def _results(out):
+        """Result files of out by name, each with its manifest digest blanked."""
+        manifest = next(out.glob("*_manifest.json"))
+        digest = hashlib.sha256(manifest.read_text().rstrip("\n").encode()).hexdigest()[:16]
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p != manifest}
+        assert all(digest.encode() in b for b in files.values())
+        return manifest.name, {n: b.replace(digest.encode(), b"") for n, b in files.items()}
+
+    @pytest.mark.parametrize("command", sorted(FILES))
+    def test_each_format_writes_its_files(self, price_files, tmp_path, capsys, command):
+        argv = self._argv(command, *price_files)
+        written = {}
+        for fmt in ("csv", "json", "both"):
+            assert main([*argv, "--format", fmt, "--out-dir", str(tmp_path / fmt)]) == 0
+            manifest, written[fmt] = self._results(tmp_path / fmt)
+            assert manifest == f"{command}_manifest.json"
+        csv_files, json_files = self.FILES[command]
+        assert set(written["csv"]) == csv_files
+        assert set(written["json"]) == json_files
+        assert written["both"] == {**written["csv"], **written["json"]}
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{x}", "{y}", "--column", "close", "--scales", "10,900"],
+        ["test", "{x}", "{y}", "--column", "close", "--q", "0"],
+        ["portfolio", "{x}", "{missing}"],
+        ["describe", "{missing}"],
+        ["benchmark", "--theta", "2", "--reps", "10"],
+        ["simulate", "--d1", "0.6"],
+    ])
+    def test_failed_run_leaves_no_out_dir(self, price_files, tmp_path, capsys, argv):
+        xp, yp = price_files
+        paths = {"x": xp, "y": yp, "missing": tmp_path / "missing.csv"}
+        out = tmp_path / "out"
+        assert main([a.format(**paths) for a in argv] + ["--out-dir", str(out)]) == 2
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,7 +12,6 @@ from fractal_xcorr import (
     correlation_profile,
     moving_average,
     q_fluctuations,
-    rho_dmca_classic,
     rho_q_dmca,
 )
 from fractal_xcorr.fluctuation import (
@@ -25,7 +24,7 @@ from fractal_xcorr.fluctuation import (
 )
 from fractal_xcorr.mc_arfima import McArfimaSpec, generate
 from conftest import gaussian_pair
-from oracle_naive import naive_residual
+from oracle_naive import naive_residual, rho_dmca_classic
 
 
 def _profile_pair(pair):
@@ -278,16 +277,23 @@ class TestNegativeQ:
 
 
 class TestClassicDmca:
+    """The segment-averaged engine against the whole-sample reference
+    estimator of tests/oracle_naive.py."""
+
+    @staticmethod
+    def _classic(pair, s):
+        return rho_dmca_classic(pair.x.values.tolist(), pair.y.values.tolist(), s, 0.5)
+
     def test_identity_exact(self, pair_1000):
         same = AlignedPair(pair_1000.x, pair_1000.x)
         for s in (10, 50, 200):
-            assert rho_dmca_classic(same, s) == pytest.approx(1.0, abs=1e-14)
+            assert self._classic(same, s) == pytest.approx(1.0, abs=1e-14)
 
     def test_independent_pair_small(self):
         hits = 0
         for seed in range(100):
             pair = gaussian_pair(1000 + seed, 10_000)
-            if abs(rho_dmca_classic(pair, 20)) < 0.1:
+            if abs(self._classic(pair, 20)) < 0.1:
                 hits += 1
         assert hits >= 95
 
@@ -297,7 +303,7 @@ class TestClassicDmca:
         cfg = DetrendConfig(scale_grid=(10, 20, 50, 100), q=2.0)
         for fs in q_fluctuations(pair, cfg):
             rho_seg, _ = rho_q_dmca(fs)
-            rho_cls = rho_dmca_classic(pair, fs.scale)
+            rho_cls = self._classic(pair, fs.scale)
             assert abs(rho_seg - rho_cls) < 0.05
 
 

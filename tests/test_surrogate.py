@@ -221,6 +221,17 @@ class TestSurrogateTest:
             surrogate_test(short, DetrendConfig(scale_grid=(5,), q=2.0),
                            n_surrogates=100)
 
+    @pytest.mark.parametrize("qs,message", [
+        ((), "empty list of fluctuation orders"),
+        ((0.0,), "q=0.0 must be finite and nonzero"),
+        ((2.0, 0), "q=0 must be finite and nonzero"),
+        ((float("nan"),), "q=nan must be finite and nonzero"),
+        ((2.0, float("-inf")), "q=-inf must be finite and nonzero"),
+    ])
+    def test_bad_orders_rejected(self, qs, message):
+        with pytest.raises(InputError, match=message):
+            surrogate_test(gaussian_pair(0, 600), self.cfg, n_surrogates=100, qs=qs)
+
 
 def surrogate_test_reference(pair, cfg, n_surrogates, iaaft, qs):
     """The surrogate test as one ensemble per series, scored one surrogate
