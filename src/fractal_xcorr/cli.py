@@ -455,6 +455,9 @@ def main(argv=None) -> int:
     except DegenerateFluctuationError as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except OSError as exc:  # a path that cannot be read, or an --out-dir that cannot be made
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -59,10 +59,9 @@ class McArfimaSpec:
         object.__setattr__(self, "innovation_sd", sds)
         if not -1.0 <= self.cross_corr <= 1.0:
             raise InputError(f"cross_corr={self.cross_corr} outside [-1, 1]")
-        if self.length < 1:
-            raise InputError(f"length={self.length} < 1")
-        if self.truncation < 100:
-            raise InputError(f"truncation={self.truncation} < 100")
+        for name, low in (("length", 1), ("truncation", 100), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise InputError(f"{name}={getattr(self, name)} < {low}")
 
     @property
     def implied_h_x(self) -> float:

@@ -101,6 +101,12 @@ def _resolve_column(path, header, n_cols, column) -> tuple:
     return header.index(column), column
 
 
+def _kept_lines(text: str) -> list:
+    """Lines that are neither blank nor '#' comments, split as csv splits them."""
+    return [ln for ln in io.StringIO(text, newline="")
+            if ln.strip() and not ln.lstrip().startswith("#")]
+
+
 def _parse_plain(path, text: str, column):
     """One vectorised parse of a quote-free CSV text: (values, label).
 
@@ -110,8 +116,9 @@ def _parse_plain(path, text: str, column):
     """
     if '"' in text:
         return None
-    lines = [ln for ln in io.StringIO(text, newline="")
-             if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = text.removesuffix("\n").split("\n")  # the kept lines unless '#', CR or blank
+    if "#" in text or "\r" in text or not all(map(str.strip, lines)):
+        lines = _kept_lines(text)
     if not lines:
         return None
     first = lines[0].rstrip("\r\n").split(",")
@@ -183,6 +190,8 @@ def load_csv(path, column) -> TimeSeries:
         raise InputError(f"no such file: {path}") from None
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read ({exc.strerror or exc})") from None
     values, label = _parse_plain(path, text, column) or _parse_rows(path, text, column)
     return TimeSeries(values, label=label)
 

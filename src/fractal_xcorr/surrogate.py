@@ -31,8 +31,9 @@ class IaaftConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise InputError(f"max_iterations={self.max_iterations} < 1")
+        for name, low in (("max_iterations", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise InputError(f"{name}={getattr(self, name)} < {low}")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -7,12 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fractal_xcorr
 from fractal_xcorr import DetrendConfig, TimeSeries, correlation_profile, log_returns, log_scales
 from fractal_xcorr import benchmark, surrogate
 from fractal_xcorr.errors import DegenerateFluctuationError, InputError
-from fractal_xcorr.cli import main
+from fractal_xcorr.cli import build_parser, main
 from fractal_xcorr.series import AlignedPair, load_csv
 from conftest import mark_degenerate
 
@@ -596,3 +598,168 @@ def test_probe_sized_test_run_starts_no_pool(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=_src_env(), cwd=tmp_path, check=True).stdout
     assert out.splitlines()[-1] == "0 []"
+
+
+class TestUnreadablePaths:
+    """A path that exists but cannot be read, or an --out-dir that cannot be
+    made, ends in exit 2 with one error line and leaves no out-dir."""
+
+    def _run(self, argv, capsys):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_directory_as_csv(self, price_files, tmp_path, capsys):
+        xp, _ = price_files
+        out = tmp_path / "out"
+        for argv in (["describe", str(tmp_path), "--column", "close"],
+                     ["analyze", str(xp), str(tmp_path), "--column", "close"]):
+            err = self._run([*argv, "--out-dir", str(out)], capsys)
+            assert err == f"error: {tmp_path}: cannot read (Is a directory)\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["rerun", "{dir}"],
+        ["simulate", "--spec-json", "{dir}", "--out-dir", "{out}"],
+    ])
+    def test_directory_as_json(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        err = self._run([a.format(dir=tmp_path, out=out) for a in argv], capsys)
+        assert str(tmp_path) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_file_as_out_dir(self, price_files, tmp_path, capsys, sub):
+        xp, _ = price_files
+        err = self._run(["describe", str(xp), "--column", "close",
+                         "--out-dir", str(xp / sub)], capsys)
+        assert str(xp) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--length", "300", "--truncation", "500", "--seed", "-1"],
+    ["test", "{x}", "{y}", "--column", "close", "--scales", "10,20", "--seed", "-1"],
+])
+def test_negative_seed_exit_2(price_files, tmp_path, capsys, argv):
+    xp, yp = price_files
+    out = tmp_path / "out"
+    assert main([a.format(x=xp, y=yp) for a in argv] + ["--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seed=-1 < 0\n"
+    assert not out.exists()
+
+
+# -- exit codes over argv drawn from the parser's own flags ---------------------
+
+def _parser_arguments() -> dict:
+    """{subcommand: (positional names, option flags)} as the parser declares them."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: ([a.dest for a in p._actions if not a.option_strings],
+                   [a.option_strings[0] for a in p._actions
+                    if a.option_strings and a.dest != "help"])
+            for name, p in sub.choices.items()}
+
+
+PARSER_ARGUMENTS = _parser_arguments()
+
+
+# (valid, invalid) values per argument; "{name}" is one of the paths made
+# by cli_inputs.  Positional arguments are keyed by dest.
+ARG_VALUES = {
+    "x_csv": (["{csv64}"], ["{dir}", "{missing}", "{nan_csv}"]),
+    "y_csv": (["{csv64b}"], ["{dir}", "{missing}", "{short_csv}"]),
+    "manifest": (["{manifest}"], ["{dir}", "{missing}", "{bad_json}"]),
+    "--column": (["close", "0"], ["1", "-1", "nope"]),
+    "--returns": (["log", "raw"], ["bogus"]),
+    "--out-dir": (["{out}"], ["{csv64}"]),
+    "--format": (["csv", "json", "both"], ["xml"]),
+    "--theta": (["0.5", "0", "1"], ["nan", "-1", "x"]),
+    "--q": (["2", "-2", "4"], ["0", "nan", "inf"]),
+    "--scales": (["4,8", "4,8,15", "log:4:15:3"],
+                 ["log:4:15", "log:0:15:3", "log:a:b:c", "0", "-1", "1000", "4,x"]),
+    "--seed": (["0", "7"], ["-1", "nan"]),
+    "--method": (["q-DMCA", "q-DCCA"], ["DMCA"]),
+    "--surrogates": (["100"], ["5", "0", "-1", "nan"]),
+    "--alpha": (["0.05", "0.5"], ["0", "1", "nan"]),
+    "--spec-json": (["{spec}"], ["{dir}", "{missing}", "{bad_json}"]),
+    **{f"--d{i}": (["0.4", "-0.2"], ["0", "0.6", "nan"]) for i in range(1, 5)},
+    "--cross-corr": (["0.5", "-0.5"], ["-1", "2", "nan"]),
+    "--length": (["64"], ["0", "-1", "nan"]),
+    "--truncation": (["100"], ["0", "-1"]),
+    "--reps": (["10"], ["2", "0", "-1", "nan"]),
+    "--lengths": (["64", "64,80"], ["0", "-1", "x"]),
+    "--cross-corrs": (["0.5", "0.1,0.9"], ["2", "nan", "x"]),
+    "--n-min": (["4", "4,8"], ["0", "-1", "x"]),
+    "--s-max": (["16"], ["8", "0", "-1", "x"]),
+}
+# Flags always given: their defaults make a run seconds long, or (--scales)
+# start above N/4 of the 64-row inputs, so every run would stop there.
+ALWAYS = {"benchmark": {"--reps", "--lengths"}, "simulate": {"--length", "--truncation"},
+          "test": {"--surrogates", "--scales"}, "analyze": {"--scales"},
+          "portfolio": {"--scales"}}
+
+
+@st.composite
+def _drawn_argv(draw):
+    """A subcommand and its arguments; each value is invalid one time in four."""
+    def value(name):
+        valid, invalid = ARG_VALUES[name]
+        return draw(st.sampled_from(invalid if draw(st.sampled_from([0, 0, 0, 1])) else valid))
+
+    command = draw(st.sampled_from(sorted(PARSER_ARGUMENTS)))
+    positionals, flags = PARSER_ARGUMENTS[command]
+    argv = [command, *(value(p) for p in positionals)]
+    for flag in flags:
+        if flag in ALWAYS.get(command, ()) or draw(st.booleans()):
+            argv += [flag, value(flag)]
+    return argv
+
+
+@pytest.fixture
+def cli_inputs(tmp_path, monkeypatch):
+    """Paths for ARG_VALUES.  Jobs run in this process: the exit code does
+    not depend on where they run, and a pool per example would be slow."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FRACTAL_XCORR_SEED", raising=False)
+    monkeypatch.setattr(benchmark, "_cpu_count", lambda: 1)
+    rng = np.random.default_rng(64)
+    paths = {name: tmp_path / f"{name}.csv" for name in ("csv64", "csv64b")}
+    for path in paths.values():
+        write_prices(path, 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal(64))))
+    paths.update(dir=tmp_path, missing=tmp_path / "missing.csv", out=tmp_path / "out",
+                 nan_csv=tmp_path / "nan.csv", short_csv=tmp_path / "short.csv",
+                 spec=tmp_path / "spec.json", bad_json=tmp_path / "bad.json")
+    paths["nan_csv"].write_text("close\n" + "1.5\n" * 30 + "nan\n" + "1.5\n" * 33)
+    paths["short_csv"].write_text("close\n1.5\n1.6\n")
+    paths["spec"].write_text('{"length": 64, "truncation": 100, "seed": 3}')
+    paths["bad_json"].write_text("{not json")
+    first = tmp_path / "first"
+    assert main(["describe", str(paths["csv64"]), "--column", "close",
+                 "--out-dir", str(first)]) == 0
+    paths["manifest"] = first / "describe_manifest.json"
+    return paths
+
+
+def test_every_flag_has_a_value_menu():
+    for positionals, flags in PARSER_ARGUMENTS.values():
+        assert set(positionals) | set(flags) <= set(ARG_VALUES)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=_drawn_argv())
+def test_drawn_argv_exits_0_2_or_3(cli_inputs, capsys, drawn):
+    argv = [a.format(**cli_inputs) for a in drawn]
+    capsys.readouterr()
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects the argv with a usage line
+        assert exc.code == 2, argv
+        return
+    err = capsys.readouterr().err
+    assert rc in (0, 2, 3), (argv, err)
+    messages = [ln for ln in err.splitlines()
+                if ln.startswith(("error: ", "numerical degeneracy: "))]
+    assert len(messages) == (rc != 0) and "Traceback" not in err, (argv, err)

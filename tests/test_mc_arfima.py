@@ -63,6 +63,8 @@ class TestSpec:
             McArfimaSpec(length=0)
         with pytest.raises(InputError):
             McArfimaSpec(innovation_sd=(1.0, -1.0, 1.0, 1.0))
+        with pytest.raises(InputError, match=r"^seed=-1 < 0$"):
+            McArfimaSpec(seed=-1)  # numpy's generators take no negative seed
 
 
 class TestInnovations:

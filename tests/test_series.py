@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from scipy.stats import chi2
 
 from fractal_xcorr import (
@@ -271,3 +271,114 @@ def test_load_csv_error_messages_name_the_row(tmp_path):
         p.write_bytes(LOADER_CASES[name].encode())
         with pytest.raises(InputError, match=message):
             load_csv(p, column)
+
+
+def test_load_csv_unreadable_path_raises_input_error(tmp_path):
+    with pytest.raises(InputError) as info:
+        load_csv(tmp_path, "close")
+    assert str(info.value) == f"{tmp_path}: cannot read (Is a directory)"
+
+
+# -- the screened split against the reference loader --------------------------
+
+LOADER_CHARS = [*".,-+eE_#\"\r\n \t\x0b\x0c\x1c\x85\xa0\u2028", "nan", "inf", "1e500"]
+LOADER_TOKENS = [*"0123456789", *LOADER_CHARS]
+LOADER_NUMBERS = ["1.5", "2", "-3e-2", "+.5", "7", "0"]
+LOADER_ENDS = ["\n", "\n", "\n", "\r\n", "\r", "\n\n", "\n \n"]
+
+
+def _inject(text_and_edits):
+    text, edits = text_and_edits
+    for pos, token in edits:
+        pos %= len(text) + 1
+        text = text[:pos] + token + text[pos:]
+    return text
+
+
+# A soup of tokens, rows of cells built from them, or a loadable numeric
+# file with a few tokens injected, so that both failing and loadable files
+# are drawn.
+_token_soup = st.lists(st.sampled_from(LOADER_TOKENS), max_size=60).map("".join)
+_cell = st.lists(st.sampled_from(["", *LOADER_NUMBERS, *LOADER_TOKENS]),
+                 min_size=1, max_size=3).map("".join)
+_row = st.lists(_cell, min_size=1, max_size=3).map(",".join)
+_rows = st.lists(st.tuples(_row, st.sampled_from(LOADER_ENDS)), max_size=8).map(
+    lambda rows: "".join(cells + end for cells, end in rows))
+_numeric_row = st.lists(st.sampled_from(LOADER_NUMBERS), min_size=2, max_size=2).map(",".join)
+_injected = st.tuples(
+    st.tuples(st.sampled_from(["", "v,close\n"]),
+              st.lists(_numeric_row, min_size=2, max_size=8).map("\n".join)).map("".join),
+    st.lists(st.tuples(st.integers(0, 200), st.sampled_from(LOADER_CHARS)), max_size=3),
+).map(_inject)
+
+
+@settings(max_examples=1000, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(header=st.sampled_from(["", "v,close\n", "v,close\r\n", "# prices\n",
+                               "# prices\nv,close\n"]),
+       body=st.one_of(_token_soup, _rows, _injected),
+       final_newline=st.booleans(),
+       column=st.sampled_from([0, 1, "1", "v", "close", -1]))
+@example(header="", body="1\r2\n3\n4", final_newline=True, column=0)  # CR in line 1
+@example(header="v,close\n", body="1\x0c2,3\n4,5\n6,7", final_newline=False, column=0)
+@example(header="", body="1,2\u20283,4\n5,6\n7,8", final_newline=True, column=1)
+@example(header="", body="1,2\n3,4\n \n", final_newline=True, column=0)
+def test_load_csv_equals_reference_on_drawn_text(tmp_path, header, body, final_newline,
+                                                 column):
+    text = header + body
+    text = text + "\n" if final_newline else text.rstrip("\r\n")
+    p = tmp_path / "drawn.csv"
+    p.write_bytes(text.encode())
+    assert_same_as_reference(p, column)
+
+
+def _paper_sized_prices(n_returns=35_608, seed=35):
+    """minute,close text with repr floats, laid out as the benchmark's price
+    files, and the close values as float() of each cell."""
+    rng = np.random.default_rng(seed)
+    returns = 1e-3 * rng.standard_normal(n_returns)
+    prices = 100.0 * np.exp(np.concatenate([[0.0], np.cumsum(returns)]))
+    rows = [f"{i},{float(p)!r}" for i, p in enumerate(prices)]
+    text = "minute,close\n" + "".join(r + "\n" for r in rows)
+    return text, np.array([float(r.split(",")[1]) for r in rows])
+
+
+def _refuse(*args):
+    raise AssertionError("line filter or row-by-row reader used")
+
+
+def test_load_csv_paper_sized_file_takes_the_screened_split(tmp_path, monkeypatch):
+    import fractal_xcorr.series as series
+
+    text, want = _paper_sized_prices()
+    p = tmp_path / "prices.csv"
+    p.write_bytes(text.encode())
+    monkeypatch.setattr(series, "_kept_lines", _refuse)
+    monkeypatch.setattr(series, "_parse_rows", _refuse)
+    got = load_csv(p, "close")
+    assert got.label == "close" and len(got) == 35_609
+    assert got.values.tobytes() == want.tobytes()
+
+
+def test_load_csv_paper_sized_variants_take_the_filter(tmp_path, monkeypatch):
+    import fractal_xcorr.series as series
+
+    text, want = _paper_sized_prices()
+    lines = text.split("\n")
+    variants = {
+        "crlf": text.replace("\n", "\r\n"),
+        "lone_cr": text.replace("\n", "\r"),
+        "commented": "# gold, 1-minute closes\n" + "\n".join(
+            ln if i % 997 else f"# block {i}\n{ln}" for i, ln in enumerate(lines)),
+        "blank_lines": "\n".join(ln if i % 1009 else f"\n \t\n{ln}" for i, ln in enumerate(lines))
+        + "\n\n",
+    }
+    kept, used = series._kept_lines, []
+    monkeypatch.setattr(series, "_kept_lines", lambda t: used.append(1) or kept(t))
+    monkeypatch.setattr(series, "_parse_rows", _refuse)
+    for name, variant in variants.items():
+        p = tmp_path / f"{name}.csv"
+        p.write_bytes(variant.encode())
+        got = load_csv(p, "close")
+        assert got.label == "close" and got.values.tobytes() == want.tobytes(), name
+    assert len(used) == len(variants)

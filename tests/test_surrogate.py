@@ -110,6 +110,8 @@ class TestIaaftSurrogate:
     def test_config_validation(self):
         with pytest.raises(InputError):
             IaaftConfig(max_iterations=0)
+        with pytest.raises(InputError, match=r"^seed=-1 < 0$"):
+            IaaftConfig(seed=-1)
 
 
 class TestSurrogateTest:
