@@ -13,18 +13,19 @@ n_min .. N/5; moving-average runs parameterized by s_max fit scales
 
 from __future__ import annotations
 
-import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .fluctuation import (
+    DEFAULT_QS,
     MIN_SCALE,
     _check_dma_scale,
     _dcca_segment_stats,
     _dma_segment_stats,
+    check_orders,
     rho_q_rows,
 )
 from .mc_arfima import McArfimaSpec, generate
@@ -42,7 +43,7 @@ BLOCK_POINTS = 1 << 15
 class BenchmarkConfig:
     lengths: tuple = (500, 1000, 5000)
     cross_corrs: tuple = (0.1, 0.5, 0.9)
-    qs: tuple = (2.0, 4.0)
+    qs: tuple = DEFAULT_QS
     replications: int = 200
     dcca_n_min: tuple = (10, 20, 50, 100)
     dmca_s_max: tuple = (20, 50, 100)
@@ -55,8 +56,7 @@ class BenchmarkConfig:
             raise InputError(f"replications={self.replications} < 10")
         if any(n < 1 for n in self.lengths):
             raise InputError(f"lengths {list(self.lengths)} must be positive")
-        if any(q == 0 or not math.isfinite(q) for q in self.qs):
-            raise InputError(f"fluctuation orders {list(self.qs)} must be finite and nonzero")
+        check_orders(self.qs)
         for name, values in (("n_min", self.dcca_n_min), ("s_max", self.dmca_s_max)):
             if any(v < MIN_SCALE for v in values):
                 raise InputError(f"{name} {list(values)} must be at least {MIN_SCALE}")
@@ -77,17 +77,7 @@ class EstimatorReport:
     n_effective: int
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "N": self.length,
-            "cross_corr": self.cross_corr,
-            "q": self.q,
-            "range_param": self.range_param,
-            "bias": self.bias,
-            "sd": self.sd,
-            "mse": self.mse,
-            "n_effective": self.n_effective,
-        }
+        return {("N" if k == "length" else k): v for k, v in asdict(self).items()}
 
 
 def _cell_seed(master_seed: int, length: int, cross_corr: float, rep: int) -> int:
@@ -209,22 +199,26 @@ def _run_jobs(fn, jobs: list, sizes: list):
             raise
 
 
+def _row_blocks(n_rows: int, length: int) -> list:
+    """(first, stop) of each block of rows of length points, in order: at
+    most BLOCK_POINTS points a block, and at least one row."""
+    rows = max(1, BLOCK_POINTS // length)
+    return [(first, min(first + rows, n_rows)) for first in range(0, n_rows, rows)]
+
+
 def _cell_estimates(cfg: BenchmarkConfig, cells):
     """(length, cross_corr, ests) for each cell (length, cross_corr, grids),
     in order; ests maps every key with a non-degenerate estimate to those
     estimates.
 
-    A cell's replications go through in blocks of at most BLOCK_POINTS
-    profile points; each block is one job, and the jobs of every cell run
-    together.
+    A cell's replications go through in _row_blocks; each block is one job,
+    and the jobs of every cell run together.
     """
     jobs, n_blocks = [], []
     for length, rho, grids in cells:
-        rows = max(1, BLOCK_POINTS // length)
-        firsts = range(0, cfg.replications, rows)
-        jobs.extend((cfg, length, rho, grids, first, min(first + rows, cfg.replications))
-                    for first in firsts)
-        n_blocks.append(len(firsts))
+        blocks = _row_blocks(cfg.replications, length)
+        jobs.extend((cfg, length, rho, grids, first, stop) for first, stop in blocks)
+        n_blocks.append(len(blocks))
     results = _run_jobs(_replicate, jobs, [(stop - first) * length  # rows x N
                                            for _, length, _, _, first, stop in jobs])
     for (length, rho, _), n in zip(cells, n_blocks):

@@ -14,13 +14,13 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
 from .benchmark import BenchmarkConfig, run_benchmark
 from .errors import DegenerateFluctuationError, InputError
-from .fluctuation import DetrendConfig, correlation_profile
+from .fluctuation import DEFAULT_QS, DetrendConfig, check_orders, correlation_profile
 from .mc_arfima import McArfimaSpec, generate
 from .portfolio import portfolio_scan
 from .scaling import log_scales
@@ -178,8 +178,16 @@ def _add_common_args(p, scales=True):
                    help=f"master seed (falls back to ${SEED_ENV_VAR}, then 0)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise InputError, so main
+    reports them like every other input error; subparsers inherit it."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fractal-xcorr",
         description="Scale-dependent cross-correlation, simulation benchmarks, "
                     "surrogate tests and hedge analytics",
@@ -232,22 +240,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _detrend_configs(args, n: int):
-    qs = args.q if args.q else [2.0, 4.0]
-    scales = _clip_grid(_parse_scales(DEFAULT_SCALES if args.scales is None else args.scales), n,
-                        explicit=args.scales is not None)
-    return [DetrendConfig(scale_grid=scales, q=q, theta=args.theta) for q in qs]
+def _pair_run(args):
+    """(pair, cfg, qs, config) of a command on the pair x_csv, y_csv: the
+    pair, its DetrendConfig at the first order, every order, and the
+    manifest keys that analyze, test and portfolio share."""
+    pair = AlignedPair(*_load(args, "x_csv", "y_csv"))
+    scales = _clip_grid(_parse_scales(DEFAULT_SCALES if args.scales is None else args.scales),
+                        len(pair), explicit=args.scales is not None)
+    qs = tuple(args.q or DEFAULT_QS)
+    cfg = DetrendConfig(scale_grid=scales, q=qs[0], theta=args.theta)  # grid and theta first
+    check_orders(qs)
+    config = {"theta": args.theta, "returns": args.returns, "qs": list(qs),
+              "scales": list(cfg.scale_grid)}
+    return pair, cfg, qs, config
 
 
 def cmd_analyze(args, argv) -> int:
-    pair = AlignedPair(*_load(args, "x_csv", "y_csv"))
-    configs = _detrend_configs(args, len(pair))
-    rows = []
-    for cfg in configs:
-        profile = correlation_profile(pair, cfg, method=args.method)
-        rows.extend(profile.to_records())
-    config = {"method": args.method, "theta": args.theta, "returns": args.returns,
-              "qs": [c.q for c in configs], "scales": list(configs[0].scale_grid)}
+    pair, cfg, qs, config = _pair_run(args)
+    rows = [r for q in qs
+            for r in correlation_profile(pair, replace(cfg, q=q), args.method).to_records()]
+    config["method"] = args.method
     _save(args, argv, config, inputs=("x_csv", "y_csv"),
           tables=[("correlation_profile.csv", ["scale", "q", "method", "rho", "capped"], rows)],
           json_name="correlation_profile.json", results=rows)
@@ -322,7 +334,7 @@ def cmd_benchmark(args, argv) -> int:
     cfg = BenchmarkConfig(
         lengths=_parse_list(args.lengths, "--lengths", int),
         cross_corrs=cross_corrs,
-        qs=tuple(args.q) if args.q else (2.0, 4.0),
+        qs=tuple(args.q or DEFAULT_QS),
         replications=args.reps,
         dcca_n_min=_parse_list(args.n_min, "--n-min", int),
         dmca_s_max=_parse_list(args.s_max, "--s-max", int),
@@ -348,11 +360,9 @@ def cmd_benchmark(args, argv) -> int:
 def cmd_test(args, argv) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise InputError(f"--alpha {args.alpha} outside (0, 1)")
-    pair = AlignedPair(*_load(args, "x_csv", "y_csv"))
-    configs = _detrend_configs(args, len(pair))
-    reports = surrogate_test(pair, configs[0], n_surrogates=args.surrogates,
-                             iaaft=IaaftConfig(seed=_resolve_seed(args)),
-                             qs=[c.q for c in configs])
+    pair, cfg, qs, config = _pair_run(args)
+    reports = surrogate_test(pair, cfg, n_surrogates=args.surrogates,
+                             iaaft=IaaftConfig(seed=_resolve_seed(args)), qs=qs)
     if reports[0].n_failed:
         print(f"note: {reports[0].n_failed} of {args.surrogates} surrogate pairs degenerate "
               "after retries", file=sys.stderr)
@@ -366,9 +376,7 @@ def cmd_test(args, argv) -> int:
         })
         print(f"q={rep.q:g} s={rep.scale:>5d}  rho={rep.observed_rho:+.4f}"
               f"{stars(rep.p_value):<3} p={rep.p_value:.3f}  {label}")
-    config = {"theta": args.theta, "returns": args.returns, "alpha": args.alpha,
-              "n_surrogates": args.surrogates, "n_failed": reports[0].n_failed,
-              "qs": [c.q for c in configs], "scales": list(configs[0].scale_grid)}
+    config.update(alpha=args.alpha, n_surrogates=args.surrogates, n_failed=reports[0].n_failed)
     _save(args, argv, config, inputs=("x_csv", "y_csv"),
           tables=[("surrogate_test.csv", list(rows[0].keys()), rows)],
           json_name="surrogate_test.json", results=rows)
@@ -376,9 +384,8 @@ def cmd_test(args, argv) -> int:
 
 
 def cmd_portfolio(args, argv) -> int:
-    pair = AlignedPair(*_load(args, "x_csv", "y_csv"))
-    configs = _detrend_configs(args, len(pair))
-    metrics = portfolio_scan(pair, configs[0], qs=[c.q for c in configs])
+    pair, cfg, qs, config = _pair_run(args)
+    metrics = portfolio_scan(pair, cfg, qs=qs)
     # Table layout: one row per (q, measure), scales across the columns.
     scales = sorted({m.scale for m in metrics})
     rows = []
@@ -388,8 +395,6 @@ def cmd_portfolio(args, argv) -> int:
                      **{f"s{s}": round(per_scale[s].w_g, 4) for s in scales}})
         rows.append({"q": q, "measure": "beta",
                      **{f"s{s}": round(per_scale[s].beta, 4) for s in scales}})
-    config = {"theta": args.theta, "returns": args.returns,
-              "qs": [c.q for c in configs], "scales": list(configs[0].scale_grid)}
     _save(args, argv, config, inputs=("x_csv", "y_csv"),
           tables=[("portfolio.csv", list(rows[0].keys()), rows)],
           json_name="portfolio.json", results=[m.to_dict() for m in metrics])

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFluctuationError, InputError
-from .series import AlignedPair, TimeSeries
+from .series import AlignedPair
 
 MIN_SCALE = 4
+DEFAULT_QS = (2.0, 4.0)  # the paper's orders: calm (q = 2) and extreme (q = 4) movements
 # Up to this window np.convolve costs about as much as the O(N) running sum
 # (its cost barely grows with the window there), so the direct sum and its
 # rounding are kept; above it the running sum is faster.
@@ -48,8 +49,7 @@ class DetrendConfig:
             raise InputError(f"smallest scale {grid[0]} < {MIN_SCALE}")
         if not 0.0 <= self.theta <= 1.0:
             raise InputError(f"theta={self.theta} outside [0, 1]")
-        if self.q == 0 or not math.isfinite(self.q):
-            raise InputError(f"fluctuation order q={self.q} must be finite and nonzero")
+        check_orders((self.q,))
         object.__setattr__(self, "scale_grid", grid)
 
     def check_length(self, n: int):
@@ -57,6 +57,18 @@ class DetrendConfig:
             raise InputError(
                 f"largest scale {self.scale_grid[-1]} exceeds N/4 = {n // 4} for N={n}"
             )
+
+
+def check_orders(qs) -> tuple:
+    """qs as a tuple; an InputError if it is empty or holds a zero or
+    non-finite order."""
+    qs = tuple(qs)
+    if not qs:
+        raise InputError("empty list of fluctuation orders")
+    for q in qs:
+        if q == 0 or not math.isfinite(q):
+            raise InputError(f"fluctuation orders: q={q} must be finite and nonzero")
+    return qs
 
 
 @dataclass(frozen=True)
@@ -97,12 +109,6 @@ class CorrelationProfile:
         ]
 
 
-def _as_array(series) -> np.ndarray:
-    if isinstance(series, TimeSeries):
-        return series.values
-    return np.asarray(series, dtype=float)
-
-
 def moving_average(profile, n: int, theta: float = 0.5) -> tuple:
     """Moving average of window n at position parameter theta.
 
@@ -112,7 +118,7 @@ def moving_average(profile, n: int, theta: float = 0.5) -> tuple:
     t+floor((n-1)*theta).  A profile of shape (..., N) is averaged along its
     last axis, each row to the same bits as on its own.
     """
-    x = _as_array(profile)
+    x = np.asarray(profile, dtype=float)
     N = x.shape[-1]
     _check_window(N, n, theta)
     g = math.floor((n - 1) * theta)

@@ -9,10 +9,10 @@ counterpart, so F_g = f_x_q, F_c = f_y_q, F_gc = f_xy_q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 from .errors import DegenerateFluctuationError
-from .fluctuation import DetrendConfig, FluctuationSet, q_fluctuations
+from .fluctuation import DEFAULT_QS, DetrendConfig, FluctuationSet, q_fluctuations
 from .series import AlignedPair
 
 
@@ -25,8 +25,7 @@ class PortfolioMetrics:
     beta: float  # hedge ratio
 
     def to_dict(self) -> dict:
-        return {"scale": self.scale, "q": self.q, "w_g": self.w_g,
-                "w_g_raw": self.w_g_raw, "beta": self.beta}
+        return asdict(self)
 
 
 def clip_weight(w: float) -> float:
@@ -59,15 +58,14 @@ def hedge_ratio(fs: FluctuationSet) -> float:
     return fs.f_xy_q / fs.f_x_q
 
 
-def portfolio_scan(pair: AlignedPair, cfg: DetrendConfig, qs=(2.0, 4.0)) -> list:
+def portfolio_scan(pair: AlignedPair, cfg: DetrendConfig, qs=DEFAULT_QS) -> list:
     """PortfolioMetrics per (scale, q), hedge asset = pair.x.
 
     Uses the moving-average (q-DMCA) fluctuation functions throughout.
     """
     out = []
     for q in qs:
-        qcfg = DetrendConfig(scale_grid=cfg.scale_grid, q=q, theta=cfg.theta)
-        for fs in q_fluctuations(pair, qcfg):
+        for fs in q_fluctuations(pair, replace(cfg, q=q)):
             raw, w = optimal_weight(fs)
             out.append(PortfolioMetrics(scale=fs.scale, q=q, w_g=w,
                                         w_g_raw=raw, beta=hedge_ratio(fs)))

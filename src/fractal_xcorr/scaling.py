@@ -7,13 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFluctuationError, InputError
-from .fluctuation import (
-    CorrelationProfile,
-    DetrendConfig,
-    _dma_segment_stats,
-    aggregate_q,
-    correlation_profile,
-)
+from .fluctuation import CorrelationProfile, DetrendConfig, correlation_profile, q_fluctuations
 from .series import AlignedPair, TimeSeries
 
 DEFAULT_GRID_POINTS = 20
@@ -87,19 +81,16 @@ def fit_power_law(points) -> ScalingFit:
 
 def estimate_hurst(series: TimeSeries, cfg: DetrendConfig) -> ScalingFit:
     """Generalized Hurst exponent H(q) from the scaling of (F^q(s))^(1/q)."""
-    cfg.check_length(len(series))
-    profile = np.cumsum(series.values)
+    cfg.check_length(len(series))  # names the grid, ahead of AlignedPair's length check
     # fluctuations at rounding-noise level (detrending annihilated the
     # profile) count as degenerate, not as a tiny but real amplitude
-    floor = 1e-12 * (float(np.max(np.abs(profile))) + 1.0)
+    floor = 1e-12 * (float(np.max(np.abs(np.cumsum(series.values)))) + 1.0)
     points = []
-    for s in cfg.scale_grid:
-        fx, _, cross = _dma_segment_stats(profile, profile, s, cfg.theta)
-        fs = aggregate_q(s, cfg.q, fx, fx, cross)
+    for fs in q_fluctuations(AlignedPair(series, series), cfg):
         value = fs.f_x_q ** (1.0 / cfg.q) if fs.f_x_q > 0.0 else 0.0
         if value <= floor:
-            raise DegenerateFluctuationError(f"scale {s}: degenerate fluctuation")
-        points.append((s, value))
+            raise DegenerateFluctuationError(f"scale {fs.scale}: degenerate fluctuation")
+        points.append((fs.scale, value))
     return fit_power_law(points)
 
 

@@ -11,13 +11,13 @@ two-tailed distance-from-mean p-value.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmark import BLOCK_POINTS, _run_jobs
+from .benchmark import _row_blocks, _run_jobs
 from .errors import DegenerateFluctuationError, InputError
-from .fluctuation import DetrendConfig, _dma_segment_stats, rho_q_rows
+from .fluctuation import DetrendConfig, _dma_segment_stats, check_orders, rho_q_rows
 from .series import AlignedPair, TimeSeries
 
 MIN_SURROGATE_LENGTH = 32
@@ -112,7 +112,7 @@ def _series_rng(seed: int, values: np.ndarray):
     )
 
 
-def _rho_rows(px, py, cfg: DetrendConfig, qs) -> np.ndarray:
+def _rho_all_scales(px, py, cfg: DetrendConfig, qs) -> np.ndarray:
     """rho per (q, scale) of profiles (..., N), shape (..., len(qs), len(grid)),
     NaN where degenerate.  Segment statistics are computed once per scale and
     aggregated for every q, each row to the same bits as on its own."""
@@ -120,34 +120,25 @@ def _rho_rows(px, py, cfg: DetrendConfig, qs) -> np.ndarray:
                      for s in cfg.scale_grid], axis=-1)
 
 
-def _rho_all_scales(px, py, cfg: DetrendConfig, qs):
-    """rho per (q, scale) of one pair of profiles, shape (len(qs),
-    len(grid)), or None if any cell is degenerate."""
-    rhos = _rho_rows(px, py, cfg, qs)
-    return None if np.isnan(rhos).any() else rhos
-
-
 def _surrogate_block(x, y, cand_x, cand_y, cfg: DetrendConfig, iaaft: IaaftConfig,
                      qs) -> np.ndarray:
-    """_rho_rows of the IAAFT surrogate pairs grown from the initial rows
-    cand_x and cand_y: one job of a surrogate test."""
+    """_rho_all_scales of the IAAFT surrogate pairs grown from the initial
+    rows cand_x and cand_y: one job of a surrogate test."""
     px = np.cumsum(_iaaft_rows(x, cand_x, iaaft), axis=-1)
     py = np.cumsum(_iaaft_rows(y, cand_y, iaaft), axis=-1)
-    return _rho_rows(px, py, cfg, qs)
+    return _rho_all_scales(px, py, cfg, qs)
 
 
 def _score_new_pairs(x, y, n: int, rng_x, rng_y, cfg: DetrendConfig, iaaft: IaaftConfig,
                      qs) -> np.ndarray:
-    """_rho_rows of n new IAAFT surrogate pairs, in blocks of at most
-    BLOCK_POINTS points, each block one _surrogate_block job.
+    """_rho_all_scales of n new IAAFT surrogate pairs, in _row_blocks, each
+    block one _surrogate_block job.
 
     Every initial row is drawn here, all of x's, then all of y's, so no
     result depends on how the rows are cut into jobs or where they run.
     """
     cand_x, cand_y = _permutations(x, n, rng_x), _permutations(y, n, rng_y)
-    rows = max(1, BLOCK_POINTS // x.size)
-    jobs = [(x, y, cand_x[a:a + rows], cand_y[a:a + rows], cfg, iaaft, qs)
-            for a in range(0, n, rows)]
+    jobs = [(x, y, cand_x[a:b], cand_y[a:b], cfg, iaaft, qs) for a, b in _row_blocks(n, x.size)]
     return np.concatenate(list(_run_jobs(_surrogate_block, jobs,
                                          [len(job[2]) for job in jobs])))
 
@@ -168,15 +159,11 @@ def surrogate_test(pair: AlignedPair, cfg: DetrendConfig, n_surrogates: int = 10
     if len(pair) < MIN_SURROGATE_LENGTH:
         raise InputError(f"pair too short for surrogates: N={len(pair)}")
     cfg.check_length(len(pair))
-    qs = (cfg.q,) if qs is None else tuple(qs)
-    if not qs:
-        raise InputError("empty list of fluctuation orders")
-    for q in qs:  # DetrendConfig rejects a zero or non-finite order
-        replace(cfg, q=q)
+    qs = check_orders((cfg.q,) if qs is None else qs)
 
     x, y = pair.x.values, pair.y.values
     observed = _rho_all_scales(np.cumsum(x), np.cumsum(y), cfg, qs)
-    if observed is None:
+    if np.isnan(observed).any():
         raise DegenerateFluctuationError("degenerate fluctuation in the observed pair")
 
     # Streams are keyed on series content, not argument position, so that

@@ -32,7 +32,7 @@ def mark_degenerate(monkeypatch, first_values):
     fork, in worker processes.  Returns the list of scored x starts."""
     from fractal_xcorr import surrogate
 
-    original = surrogate._rho_rows
+    original = surrogate._rho_all_scales
     seen = []
 
     def marked(px, py, cfg, qs):
@@ -41,5 +41,5 @@ def mark_degenerate(monkeypatch, first_values):
         rhos[np.isin(px[..., 0], first_values)] = np.nan
         return rhos
 
-    monkeypatch.setattr(surrogate, "_rho_rows", marked)
+    monkeypatch.setattr(surrogate, "_rho_all_scales", marked)
     return seen

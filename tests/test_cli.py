@@ -263,14 +263,20 @@ class TestBenchmarkCommand:
         assert proc.stdout == want
         assert len(set(want.splitlines())) == 2 * 2 * 2 * 2 * 2  # cell x method x q x range
 
-    @pytest.mark.parametrize("q", ["0", "nan", "inf", "-inf"])
-    def test_zero_or_non_finite_order_exit_2(self, tmp_path, capsys, q):
-        rc = main(["benchmark", "--reps", "10", "--lengths", "500", "--cross-corrs", "0.5",
-                   "--n-min", "10", "--s-max", "20", f"--q={q}", "--out-dir", str(tmp_path)])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert err.startswith("error: fluctuation orders") and err.count("\n") == 1
-        assert not (tmp_path / "benchmark.json").exists()
+
+@pytest.mark.parametrize("q", ["0", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["analyze", "test", "portfolio", "benchmark"])
+def test_zero_or_non_finite_order_exit_2(price_files, tmp_path, capsys, command, q):
+    xp, yp = price_files
+    argv = (["--reps", "10", "--lengths", "500", "--cross-corrs", "0.5", "--n-min", "10",
+             "--s-max", "20"] if command == "benchmark"
+            else [str(xp), str(yp), "--column", "close", "--scales", "10,20"])
+    out = tmp_path / "out"
+    rc = main([command, *argv, "--q=2", f"--q={q}", "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: fluctuation orders: q={float(q)} must be finite and nonzero\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -484,10 +490,17 @@ class TestFormat:
     ["describe", "x.csv", "--format", "csv"],  # describe writes JSON only
 ])
 def test_removed_flags_rejected(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unrecognized arguments: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["analyze", "--help"]])
+def test_help_and_version_exit_0(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
 
 
 class TestRerun:
@@ -753,11 +766,7 @@ def test_every_flag_has_a_value_menu():
 def test_drawn_argv_exits_0_2_or_3(cli_inputs, capsys, drawn):
     argv = [a.format(**cli_inputs) for a in drawn]
     capsys.readouterr()
-    try:
-        rc = main(argv)
-    except SystemExit as exc:  # argparse rejects the argv with a usage line
-        assert exc.code == 2, argv
-        return
+    rc = main(argv)
     err = capsys.readouterr().err
     assert rc in (0, 2, 3), (argv, err)
     messages = [ln for ln in err.splitlines()

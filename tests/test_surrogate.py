@@ -170,7 +170,8 @@ class TestSurrogateTest:
 
     @staticmethod
     def _rho_all_scales_reference(px, py, cfg, qs):
-        """One aggregate_q and rho_q_dmca call per (q, scale) cell."""
+        """One aggregate_q and rho_q_dmca call per (q, scale) cell, NaN
+        where they raise."""
         rhos = np.empty((len(qs), len(cfg.scale_grid)))
         for j, s in enumerate(cfg.scale_grid):
             stats = _dma_segment_stats(px, py, s, cfg.theta)
@@ -178,7 +179,7 @@ class TestSurrogateTest:
                 try:
                     rhos[i, j], _ = rho_q_dmca(aggregate_q(s, q, *stats))
                 except DegenerateFluctuationError:
-                    return None
+                    rhos[i, j] = np.nan
         return rhos
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -190,19 +191,20 @@ class TestSurrogateTest:
         want = self._rho_all_scales_reference(px, py, cfg, qs)
         assert np.array_equal(surrogate._rho_all_scales(px, py, cfg, qs), want)
 
-    def test_scoring_degenerate_pair_is_none(self):
+    def test_scoring_degenerate_pair_is_nan(self):
         px = np.zeros(600)
         py = np.cumsum(gaussian_pair(1, 600).y.values)
         cfg = DetrendConfig(scale_grid=(10, 20))
         for qs in ((2.0,), (-2.0,), (2.0, -2.0)):
-            assert self._rho_all_scales_reference(px, py, cfg, qs) is None
-            assert surrogate._rho_all_scales(px, py, cfg, qs) is None
+            want = self._rho_all_scales_reference(px, py, cfg, qs)
+            assert np.isnan(want).all()
+            assert np.array_equal(surrogate._rho_all_scales(px, py, cfg, qs), want, equal_nan=True)
 
     def test_every_surrogate_degenerate_raises(self, monkeypatch):
         # the observed pair is scored first, in this process; every later
         # scoring (the blocks, in-process or in forked workers, and every
         # retry) reports a degenerate cell
-        original = surrogate._rho_rows
+        original = surrogate._rho_all_scales
         calls = []
 
         def observed_only(*args):
@@ -210,7 +212,7 @@ class TestSurrogateTest:
             rhos = original(*args)
             return rhos if len(calls) == 1 else np.full_like(rhos, np.nan)
 
-        monkeypatch.setattr(surrogate, "_rho_rows", observed_only)
+        monkeypatch.setattr(surrogate, "_rho_all_scales", observed_only)
         with pytest.raises(DegenerateFluctuationError, match="all 100 surrogate pairs"):
             surrogate_test(gaussian_pair(1, 600), self.cfg, n_surrogates=100)
 
@@ -249,12 +251,12 @@ def surrogate_test_reference(pair, cfg, n_surrogates, iaaft, qs):
     for i in range(n_surrogates):
         rhos = surrogate._rho_all_scales(np.cumsum(sx[i]), np.cumsum(sy[i]), cfg, qs)
         retries = 0
-        while rhos is None and retries < surrogate.MAX_REGENERATION_RETRIES:
+        while np.isnan(rhos).any() and retries < surrogate.MAX_REGENERATION_RETRIES:
             retries += 1
             sx[i] = _iaaft_ensemble(x, 1, iaaft, rng_x)[0]
             sy[i] = _iaaft_ensemble(y, 1, iaaft, rng_y)[0]
             rhos = surrogate._rho_all_scales(np.cumsum(sx[i]), np.cumsum(sy[i]), cfg, qs)
-        if rhos is None:
+        if np.isnan(rhos).any():
             failed[i] = True
         else:
             surr_rhos[i] = rhos
@@ -300,7 +302,7 @@ class TestSurrogateBlocks:
     def test_same_bits_for_any_block_size_and_cpu_count(self, monkeypatch, pair, want, cpus,
                                                           rows):
         if rows is not None:
-            monkeypatch.setattr(surrogate, "BLOCK_POINTS", rows * len(pair))
+            monkeypatch.setattr(benchmark, "BLOCK_POINTS", rows * len(pair))
         monkeypatch.setattr(benchmark, "_cpu_count", lambda: cpus)
         got = surrogate_test(pair, self.cfg, n_surrogates=100, iaaft=self.iaaft, qs=self.qs)
         assert_same_reports(got, want)
@@ -332,7 +334,7 @@ class TestSurrogateBlocks:
         assert np.isin(sx[:, 0], starts).sum() == 2 and pair.x.values[0] not in starts
         seen = mark_degenerate(monkeypatch, starts)
         monkeypatch.setattr(benchmark, "_cpu_count", lambda: cpus)
-        monkeypatch.setattr(surrogate, "BLOCK_POINTS", 30 * len(pair))
+        monkeypatch.setattr(benchmark, "BLOCK_POINTS", 30 * len(pair))
         got = surrogate_test(pair, self.cfg, n_surrogates=100, iaaft=self.iaaft, qs=self.qs)
         del seen[:]
         regenerated = surrogate_test_reference(pair, self.cfg, 100, self.iaaft, self.qs)
