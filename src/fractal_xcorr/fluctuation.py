@@ -188,13 +188,16 @@ def _check_dma_scale(N: int, s: int, theta: float) -> None:
 
 def _dma_segment_stats(px: np.ndarray, py: np.ndarray, s: int, theta: float):
     """Per-segment (rms_x, rms_y, cross) arrays for one scale; profiles of
-    shape (..., N) give arrays of shape (..., n_segments)."""
+    shape (..., N) give arrays of shape (..., n_segments); one residual if py is px."""
     N = px.shape[-1]
     _check_dma_scale(N, s, theta)
     ns = n_segments(N, s)
-    rx, ry = (_residual(p, s, theta)[..., : ns * s].reshape(p.shape[:-1] + (ns, s))
-              for p in (px, py))
-    return _segment_moments(rx, ry)
+
+    def segments(p):
+        return _residual(p, s, theta)[..., : ns * s].reshape(p.shape[:-1] + (ns, s))
+
+    rx = segments(px)
+    return _segment_moments(rx, rx if py is px else segments(py))
 
 
 def _dcca_segment_stats(px: np.ndarray, py: np.ndarray, s: int):
@@ -278,7 +281,7 @@ def q_fluctuations(pair: AlignedPair, cfg: DetrendConfig, method: str = "q-DMCA"
         raise InputError(f"unknown method {method!r}")
     cfg.check_length(len(pair))
     px = np.cumsum(pair.x.values)
-    py = np.cumsum(pair.y.values)
+    py = px if pair.y is pair.x else np.cumsum(pair.y.values)
     out = []
     for s in cfg.scale_grid:
         stats = (_dma_segment_stats(px, py, s, cfg.theta) if method == "q-DMCA"

@@ -9,7 +9,9 @@ H_x = d1 + 0.5, H_y = d4 + 0.5 and H_xy = 0.5 + (d2 + d3)/2.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, asdict
+from functools import lru_cache
 from numbers import Integral, Real
 
 import numpy as np
@@ -17,7 +19,8 @@ import numpy as np
 from .errors import InputError
 from .series import TimeSeries
 
-_REAL_FIELDS = ("d1", "d2", "d3", "d4", "alpha", "beta", "gamma", "delta", "cross_corr")
+_REAL_FIELDS = ("d1", "d2", "d3", "d4", "cross_corr")  # range-checked below
+_WEIGHT_FIELDS = ("alpha", "beta", "gamma", "delta")
 _INT_FIELDS = ("length", "truncation", "seed")
 
 
@@ -41,10 +44,12 @@ class McArfimaSpec:
 
     def __post_init__(self):
         for names, kind, label in ((_REAL_FIELDS, Real, "a real number"),
+                                   (_WEIGHT_FIELDS, Real, "a finite real number"),
                                    (_INT_FIELDS, Integral, "an integer")):
             for name in names:
                 value = getattr(self, name)
-                if isinstance(value, bool) or not isinstance(value, kind):
+                if (isinstance(value, bool) or not isinstance(value, kind)
+                        or names is _WEIGHT_FIELDS and not abs(value) <= sys.float_info.max):
                     raise InputError(f"{name}={value!r} is not {label}")
         for name in ("d1", "d2", "d3", "d4"):
             d = getattr(self, name)
@@ -52,10 +57,10 @@ class McArfimaSpec:
                 raise InputError(f"{name}={d} outside (-0.5, 0) u (0, 0.5)")
         try:
             sds = tuple(float(s) for s in self.innovation_sd)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             sds = ()
-        if len(sds) != 4 or any(s <= 0 for s in sds):
-            raise InputError(f"innovation_sd must be four positive reals, got {self.innovation_sd}")
+        if len(sds) != 4 or not all(0 < s <= sys.float_info.max for s in sds):
+            raise InputError(f"innovation_sd must be four finite reals > 0, got {self.innovation_sd}")
         object.__setattr__(self, "innovation_sd", sds)
         if not -1.0 <= self.cross_corr <= 1.0:
             raise InputError(f"cross_corr={self.cross_corr} outside [-1, 1]")
@@ -116,14 +121,11 @@ def correlated_innovations(spec: McArfimaSpec, t: int, rng=None) -> np.ndarray:
     """
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    z = rng.standard_normal((4, t))
+    eps = rng.standard_normal((4, t))
     rho = spec.cross_corr
-    eps = np.empty_like(z)
-    eps[0] = z[0]
-    eps[1] = z[1]
-    eps[2] = rho * z[1] + np.sqrt(1.0 - rho**2) * z[2]
-    eps[3] = z[3]
-    return eps * np.asarray(spec.innovation_sd)[:, None]
+    eps[2] = rho * eps[1] + np.sqrt(1.0 - rho**2) * eps[2]
+    eps *= np.asarray(spec.innovation_sd)[:, None]
+    return eps
 
 
 def _next_fast_len(n: int) -> int:
@@ -142,12 +144,13 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two real sequences, computed as
-    scipy.signal.fftconvolve computes it: real FFTs at a 5-smooth length."""
-    n = a.size + b.size - 1
-    m = _next_fast_len(n)
-    return np.fft.irfft(np.fft.rfft(a, m) * np.fft.rfft(b, m), m)[:n]
+@lru_cache(maxsize=8)
+def _weight_spectra(ds: tuple, truncation: int, m: int) -> np.ndarray:
+    """Real FFTs at length m of the weight vectors of the orders ds, shape
+    (len(ds), m // 2 + 1); read-only, since every caller shares the array."""
+    spectra = np.fft.rfft([arfima_weights(d, truncation) for d in ds], m)
+    spectra.flags.writeable = False
+    return spectra
 
 
 def generate(spec: McArfimaSpec) -> BivariateSample:
@@ -156,19 +159,13 @@ def generate(spec: McArfimaSpec) -> BivariateSample:
     A burn-in of ``truncation`` pre-sample innovations is generated so every
     output point has a full weight history.
     """
-    rng = np.random.default_rng(spec.seed)
     n_max = spec.truncation
-    total = spec.length + n_max
-    eps = correlated_innovations(spec, total, rng=rng)
-    w1 = arfima_weights(spec.d1, n_max)
-    w2 = arfima_weights(spec.d2, n_max)
-    w3 = arfima_weights(spec.d3, n_max)
-    w4 = arfima_weights(spec.d4, n_max)
-    sl = slice(n_max, n_max + spec.length)
-    x = (spec.alpha * _fftconvolve(eps[0], w1)[sl]
-         + spec.beta * _fftconvolve(eps[1], w2)[sl])
-    y = (spec.gamma * _fftconvolve(eps[2], w3)[sl]
-         + spec.delta * _fftconvolve(eps[3], w4)[sl])
-    return BivariateSample(
-        x=TimeSeries(x, label="x"), y=TimeSeries(y, label="y"), spec=spec
-    )
+    eps = correlated_innovations(spec, spec.length + n_max)
+    # Each stream is convolved with its weights as scipy.signal.fftconvolve
+    # convolves two real sequences, by real FFTs at its 5-smooth length.
+    m = _next_fast_len(spec.length + 2 * n_max)
+    spectra = _weight_spectra((spec.d1, spec.d2, spec.d3, spec.d4), n_max, m)
+    conv = np.fft.irfft(np.fft.rfft(eps, m) * spectra, m)[:, n_max:n_max + spec.length]
+    x = spec.alpha * conv[0] + spec.beta * conv[1]
+    y = spec.gamma * conv[2] + spec.delta * conv[3]
+    return BivariateSample(x=TimeSeries(x, label="x"), y=TimeSeries(y, label="y"), spec=spec)

@@ -76,6 +76,9 @@ class TestSimulate:
         ('{"cross_corr": [0.5]}', "cross_corr"),
         ('{"alpha": false}', "alpha"),
         ('{"innovation_sd": "abcd"}', "innovation_sd"),
+        ('{"alpha": NaN}', "alpha"),
+        ('{"delta": -Infinity}', "delta"),
+        ('{"innovation_sd": [1, 1, Infinity, 1]}', "innovation_sd"),
     ])
     def test_spec_json_wrong_type_exit_2(self, tmp_path, capsys, content, field):
         spec = tmp_path / "spec.json"

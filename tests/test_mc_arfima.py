@@ -65,6 +65,8 @@ class TestSpec:
             McArfimaSpec(innovation_sd=(1.0, -1.0, 1.0, 1.0))
         with pytest.raises(InputError, match=r"^seed=-1 < 0$"):
             McArfimaSpec(seed=-1)  # numpy's generators take no negative seed
+        with pytest.raises(InputError, match=r"^beta=nan is not a finite real number$"):
+            McArfimaSpec(beta=float("nan"))
 
 
 class TestInnovations:
@@ -137,11 +139,14 @@ class TestScipyFreeConvolution:
 
     @pytest.mark.parametrize("length", [500, 1000, 5000])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_generate_equals_scipy_fftconvolve_form(self, length, seed):
+    @pytest.mark.parametrize("other", [{}, {"truncation": 100}, {"truncation": 1000},
+                                       {"d1": 0.3, "d4": -0.25}],
+                             ids=["default", "trunc100", "trunc1000", "d1-not-d4"])
+    def test_generate_equals_scipy_fftconvolve_form(self, length, seed, other):
         from scipy.signal import fftconvolve
 
         spec = McArfimaSpec(length=length, seed=seed, cross_corr=0.5,
-                            d2=0.1 + 0.05 * seed, alpha=0.7, delta=1.3)
+                            d2=0.1 + 0.05 * seed, alpha=0.7, delta=1.3, **other)
         sample = generate(spec)
         eps = correlated_innovations(spec, spec.length + spec.truncation,
                                      rng=np.random.default_rng(spec.seed))
@@ -150,3 +155,22 @@ class TestScipyFreeConvolution:
         conv = [fftconvolve(e, wk, mode="full")[sl] for e, wk in zip(eps, w)]
         assert np.array_equal(sample.x.values, spec.alpha * conv[0] + spec.beta * conv[1])
         assert np.array_equal(sample.y.values, spec.gamma * conv[2] + spec.delta * conv[3])
+
+    def test_cached_spectra_give_the_uncached_bytes(self):
+        from fractal_xcorr.mc_arfima import _weight_spectra
+
+        a = McArfimaSpec(length=800, truncation=500, seed=4)
+        b = McArfimaSpec(length=800, truncation=500, seed=4, d1=0.1, d3=-0.3)
+        c = McArfimaSpec(length=1300, truncation=500, seed=4)
+        _weight_spectra.cache_clear()
+        cached = [generate(spec) for spec in (a, b, c, a)]
+        assert _weight_spectra.cache_info().hits == 1  # a's second call
+        for spec, got in zip((a, b, c, a), cached):
+            _weight_spectra.cache_clear()
+            fresh = generate(spec)
+            assert got.x.values.tobytes() == fresh.x.values.tobytes()
+            assert got.y.values.tobytes() == fresh.y.values.tobytes()
+        spectra = _weight_spectra((a.d1, a.d2, a.d3, a.d4), a.truncation, 1800)
+        assert spectra.shape == (4, 901)
+        with pytest.raises(ValueError, match="read-only"):
+            spectra[0, 0] = 0.0

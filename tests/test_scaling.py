@@ -12,6 +12,7 @@ from fractal_xcorr import (
     fit_power_law,
     log_scales,
 )
+from fractal_xcorr import fluctuation
 from fractal_xcorr.mc_arfima import McArfimaSpec, generate
 from conftest import gaussian_pair
 
@@ -92,6 +93,24 @@ class TestEstimateHurst:
             cfg = DetrendConfig(scale_grid=self.grid, q=2.0)
             ests.append(estimate_hurst(sample.x, cfg).exponent)
         assert np.mean(ests) > 0.75
+
+    @pytest.mark.parametrize("q", [2.0, 4.0, -2.0])
+    def test_one_residual_per_scale(self, monkeypatch, q):
+        # the series is both legs of its pair, so one moving average per
+        # scale serves both; a twin with equal values but its own array
+        # takes two and must give the same fit
+        cfg = DetrendConfig(scale_grid=self.grid, q=q)
+        series = TimeSeries(np.random.default_rng(8).standard_normal(2000))
+        calls = []
+        original = fluctuation.moving_average
+        monkeypatch.setattr(fluctuation, "moving_average",
+                            lambda *args: calls.append(args[1]) or original(*args))
+        twin = fluctuation.q_fluctuations(AlignedPair(series, TimeSeries(series.values.copy())), cfg)
+        assert len(calls) == 2 * len(self.grid)
+        calls.clear()
+        fit = estimate_hurst(series, cfg)
+        assert calls == list(self.grid)
+        assert fit == fit_power_law([(fs.scale, fs.f_x_q ** (1.0 / q)) for fs in twin])
 
     def test_degenerate_series(self):
         # constant increments give a linear profile that odd centered
