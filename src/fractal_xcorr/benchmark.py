@@ -169,13 +169,13 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _run_jobs(fn, jobs: list, sizes: list):
+def _run_jobs(fn, jobs: list):
     """fn(*job) for every job, yielded in job order.
 
     With at least two jobs and two CPUs the jobs run in a pool of forked
-    worker processes, largest size first; otherwise one after another in
-    this process.  Every job draws its own random numbers or is handed them,
-    so the results do not depend on where or in which order the jobs run.
+    worker processes; otherwise one after another in this process.  Every
+    job draws its own random numbers or is handed them, so the results do
+    not depend on where or in which order the jobs run.
     """
     workers = min(_cpu_count(), len(jobs))
     if workers < 2 or not hasattr(os, "fork"):
@@ -189,11 +189,8 @@ def _run_jobs(fn, jobs: list, sizes: list):
     # already imported, where spawn would import numpy again in each worker.
     # No Python thread of this package is running when the workers fork.
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = {i: pool.submit(fn, *jobs[i])
-                   for i in sorted(range(len(jobs)), key=sizes.__getitem__, reverse=True)}
         try:
-            for i in range(len(jobs)):
-                yield futures[i].result()
+            yield from pool.map(fn, *zip(*jobs))
         except BaseException:  # a job failed or the consumer stopped: drop the rest
             pool.shutdown(cancel_futures=True)
             raise
@@ -219,8 +216,7 @@ def _cell_estimates(cfg: BenchmarkConfig, cells):
         blocks = _row_blocks(cfg.replications, length)
         jobs.extend((cfg, length, rho, grids, first, stop) for first, stop in blocks)
         n_blocks.append(len(blocks))
-    results = _run_jobs(_replicate, jobs, [(stop - first) * length  # rows x N
-                                           for _, length, _, _, first, stop in jobs])
+    results = _run_jobs(_replicate, jobs)
     for (length, rho, _), n in zip(cells, n_blocks):
         blocks = [next(results) for _ in range(n)]
         out = {}

@@ -32,6 +32,8 @@ EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 DEFAULT_SCALES = "log:20:3162:10"
 SEED_ENV_VAR = "FRACTAL_XCORR_SEED"
+SEED_HELP = f"master seed (falls back to ${SEED_ENV_VAR}, then 0)"
+SPEC_FLAGS = ("d1", "d2", "d3", "d4", "cross_corr", "length", "truncation", "seed")
 
 
 def _parse_list(text: str, flag: str, kind) -> tuple:
@@ -119,10 +121,10 @@ def _save(args, argv, config: dict, inputs=(), seed=None, tables=(), json_name=N
     CSV files and results is the payload of json_name; a command without
     --format writes both.  The out-dir is created only here, so a run that
     fails before its writes leaves none."""
+    seed = _resolve_seed(args) if seed is None else seed  # can fail, so before the mkdir
     out_dir = _path(args, "out_dir")
     out_dir.mkdir(parents=True, exist_ok=True)
-    digest = _write_manifest(out_dir, args.command, config,
-                             _resolve_seed(args) if seed is None else seed,
+    digest = _write_manifest(out_dir, args.command, config, seed,
                              {getattr(args, n): _file_digest(_path(args, n)) for n in inputs},
                              argv, args.cwd)
     fmt = getattr(args, "format", "both")
@@ -174,8 +176,6 @@ def _add_common_args(p, scales=True):
         p.add_argument("--scales", default=None,
                        help=f"comma list or log:LO:HI:NUM (default {DEFAULT_SCALES}, "
                             "clipped to N/4)")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"master seed (falls back to ${SEED_ENV_VAR}, then 0)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -201,17 +201,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("q-DMCA", "q-DCCA"), default="q-DMCA")
 
     p = sub.add_parser("simulate", help="generate a mixed-correlated ARFIMA pair")
-    p.add_argument("--spec-json", help="JSON file with the full process spec")
-    for name, default in (("d1", 0.4), ("d2", 0.2), ("d3", 0.2), ("d4", 0.4)):
-        p.add_argument(f"--{name}", type=float, default=default)
-    p.add_argument("--cross-corr", type=float, default=0.9)
-    p.add_argument("--length", type=int, default=5000)
-    p.add_argument("--truncation", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--spec-json", help="JSON file with the full process spec; excludes the "
+                                       "other process flags and --seed")
+    for name in ("d1", "d2", "d3", "d4", "cross-corr"):  # unset fields keep McArfimaSpec's
+        p.add_argument(f"--{name}", type=float)
+    for name in ("length", "truncation", "seed"):
+        p.add_argument(f"--{name}", type=int)
     p.add_argument("--out-dir", default=".")
 
     p = sub.add_parser("benchmark", help="bias/SD/MSE comparison of both estimators")
     _add_common_args(p, scales=False)
+    p.add_argument("--seed", type=int, help=SEED_HELP)
     p.add_argument("--reps", type=int, default=200,
                    help="replications per cell (default 200; 1000 for full reproduction)")
     p.add_argument("--lengths", default="500,1000,5000")
@@ -224,6 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("test", help="IAAFT surrogate significance test")
     _add_io_args(p)
     _add_common_args(p)
+    p.add_argument("--seed", type=int, help=SEED_HELP)
     p.add_argument("--surrogates", type=int, default=1000)
     p.add_argument("--alpha", type=float, default=0.05)
 
@@ -289,13 +290,12 @@ def _read_spec(path: Path) -> McArfimaSpec:
 
 
 def cmd_simulate(args, argv) -> int:
-    seed = _resolve_seed(args)
-    if args.spec_json:
-        spec = _read_spec(_path(args, "spec_json"))
-    else:
-        spec = McArfimaSpec(d1=args.d1, d2=args.d2, d3=args.d3, d4=args.d4,
-                            cross_corr=args.cross_corr, length=args.length,
-                            truncation=args.truncation, seed=seed)
+    given = {name: v for name in SPEC_FLAGS if (v := getattr(args, name)) is not None}
+    if args.spec_json and given:
+        raise InputError("--spec-json excludes " + ", ".join("--" + name.replace("_", "-")
+                                                             for name in given))
+    spec = (_read_spec(_path(args, "spec_json")) if args.spec_json
+            else McArfimaSpec(**{**given, "seed": _resolve_seed(args)}))
     sample = generate(spec)
     digest = _save(args, argv, spec.to_dict(), inputs=("spec_json",) if args.spec_json else (),
                    seed=spec.seed)
@@ -414,12 +414,16 @@ def cmd_describe(args, argv) -> int:
 def cmd_rerun(args, _argv) -> int:
     manifest = _read_json(_path(args, "manifest"))
     stored = manifest.get("argv") if isinstance(manifest, dict) else None
-    if not stored:
-        raise InputError(f"{args.manifest}: manifest carries no argv to re-run")
+    if (not isinstance(stored, list) or not stored or stored[0] == "rerun"
+            or not all(isinstance(a, str) for a in stored)):
+        raise InputError(f"{args.manifest}: argv must be a non-empty list of strings that "
+                         "names a command other than rerun")
     if manifest.get("tool_version") != __version__:
         raise InputError(f"{args.manifest}: written by tool version "
                          f"{manifest.get('tool_version')}, this is {__version__}")
     cwd, inputs = manifest.get("cwd"), manifest.get("input_digests", {})
+    if not isinstance(cwd, (str, type(None))):
+        raise InputError(f"{args.manifest}: cwd must be a string")
     if not isinstance(inputs, dict):
         raise InputError(f"{args.manifest}: input_digests must be a JSON object")
     for name, digest in inputs.items():

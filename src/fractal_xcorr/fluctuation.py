@@ -92,7 +92,7 @@ class FluctuationSet:
 class CorrelationProfile:
     """Scale-wise cross-correlation coefficients for one method and order."""
 
-    method: str  # "q-DMCA" | "q-DCCA" | "DMCA"
+    method: str  # "q-DMCA" | "q-DCCA"
     q: float
     points: tuple  # of (scale, rho, capped)
 

@@ -112,16 +112,15 @@ def arfima_weights(d: float, n_max: int) -> np.ndarray:
     return w
 
 
-def correlated_innovations(spec: McArfimaSpec, t: int, rng=None) -> np.ndarray:
+def correlated_innovations(spec: McArfimaSpec, t: int) -> np.ndarray:
     """Four Gaussian innovation streams of length t, shape (4, t).
 
     Streams 2 and 3 (1-based) share the contemporaneous correlation
     spec.cross_corr via a 2x2 square-root factorization; all other pairs
-    are independent, with no serial correlation anywhere.
+    are independent, with no serial correlation anywhere.  Deterministic
+    given spec.seed.
     """
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
-    eps = rng.standard_normal((4, t))
+    eps = np.random.default_rng(spec.seed).standard_normal((4, t))
     rho = spec.cross_corr
     eps[2] = rho * eps[1] + np.sqrt(1.0 - rho**2) * eps[2]
     eps *= np.asarray(spec.innovation_sd)[:, None]

@@ -139,8 +139,7 @@ def _score_new_pairs(x, y, n: int, rng_x, rng_y, cfg: DetrendConfig, iaaft: Iaaf
     """
     cand_x, cand_y = _permutations(x, n, rng_x), _permutations(y, n, rng_y)
     jobs = [(x, y, cand_x[a:b], cand_y[a:b], cfg, iaaft, qs) for a, b in _row_blocks(n, x.size)]
-    return np.concatenate(list(_run_jobs(_surrogate_block, jobs,
-                                         [len(job[2]) for job in jobs])))
+    return np.concatenate(list(_run_jobs(_surrogate_block, jobs)))
 
 
 def surrogate_test(pair: AlignedPair, cfg: DetrendConfig, n_surrogates: int = 1000,

@@ -1,4 +1,5 @@
 import concurrent.futures
+import time
 
 import numpy as np
 import pytest
@@ -277,6 +278,12 @@ def _with_cpus(monkeypatch, cpus, fn, *args):
     return fn(*args)
 
 
+def _finish_time(delay, value):
+    """value and the moment it was ready, on a clock that every process shares."""
+    time.sleep(delay)
+    return value, time.monotonic()
+
+
 class TestWorkerPool:
     @pytest.mark.parametrize("points", [None, 1500])
     @pytest.mark.parametrize("cfg", [SMALL, NEG_Q], ids=["small", "neg_q"])
@@ -323,3 +330,10 @@ class TestWorkerPool:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
         _with_cpus(monkeypatch, 64, run_benchmark, NEG_Q)  # 4 cells of one block each
         assert started == [4]
+
+    def test_results_in_job_order_when_a_later_job_finishes_first(self, monkeypatch):
+        monkeypatch.setattr(bench_mod, "_cpu_count", lambda: 2)
+        jobs = [(0.5, "first"), (0.0, "second")]
+        (first, first_done), (second, second_done) = bench_mod._run_jobs(_finish_time, jobs)
+        assert (first, second) == ("first", "second")
+        assert second_done < first_done

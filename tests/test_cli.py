@@ -11,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fractal_xcorr
-from fractal_xcorr import DetrendConfig, TimeSeries, correlation_profile, log_returns, log_scales
+from fractal_xcorr import (DetrendConfig, McArfimaSpec, TimeSeries, correlation_profile,
+                           log_returns, log_scales)
 from fractal_xcorr import benchmark, surrogate
 from fractal_xcorr.errors import DegenerateFluctuationError, InputError
 from fractal_xcorr.cli import build_parser, main
@@ -99,6 +100,27 @@ class TestSimulate:
         assert rc == 2
         assert err == f"error: {d}=0.0 outside (-0.5, 0) u (0, 0.5)\n"
         assert not (tmp_path / "simulated_x.csv").exists()
+
+    def test_unset_process_flags_keep_the_spec_defaults(self, tmp_path):
+        assert main(["simulate", "--length", "300", "--truncation", "500", "--d2", "0.1",
+                     "--seed", "11", "--out-dir", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "simulate_manifest.json").read_text())
+        want = McArfimaSpec(length=300, truncation=500, d2=0.1, seed=11).to_dict()
+        assert manifest["config"] == json.loads(json.dumps(want))
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--length", "1000", "--d1", "0.1", "--seed", "9"], "--d1, --length, --seed"),
+        (["--cross-corr", "0.5"], "--cross-corr"),
+        (["--seed", "3"], "--seed"),
+    ])
+    def test_spec_json_with_process_flags_exit_2(self, tmp_path, capsys, flags, named):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"length": 300, "truncation": 500, "seed": 3}')
+        out = tmp_path / "out"
+        rc = main(["simulate", "--spec-json", str(spec), *flags, "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --spec-json excludes {named}\n"
+        assert not out.exists()
 
     def test_seed_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FRACTAL_XCORR_SEED", "42")
@@ -443,9 +465,8 @@ class TestFormat:
         if command == "benchmark":
             return ["benchmark", "--reps", "10", "--lengths", "500", "--cross-corrs", "0.5",
                     "--n-min", "10", "--s-max", "20", "--q", "2", "--seed", "0"]
-        extra = ["--surrogates", "100"] if command == "test" else []
-        return [command, str(xp), str(yp), "--column", "close", "--scales", "10,20,40",
-                "--seed", "0", *extra]
+        extra = ["--surrogates", "100", "--seed", "0"] if command == "test" else []
+        return [command, str(xp), str(yp), "--column", "close", "--scales", "10,20,40", *extra]
 
     @staticmethod
     def _results(out):
@@ -484,12 +505,22 @@ class TestFormat:
         assert main([a.format(**paths) for a in argv] + ["--out-dir", str(out)]) == 2
         assert not out.exists()
 
+    def test_bad_seed_variable_leaves_no_out_dir(self, price_files, tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.setenv("FRACTAL_XCORR_SEED", "abc")
+        out = tmp_path / "out"
+        assert main(self._argv("analyze", *price_files) + ["--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: FRACTAL_XCORR_SEED='abc' is not an integer\n"
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("argv", [
     ["analyze", "x.csv", "y.csv", "--threads", "2"],
     ["test", "x.csv", "y.csv", "--threads", "2"],
     ["benchmark", "--threads", "2"],
     ["benchmark", "--scales", "1,2"],
+    ["analyze", "x.csv", "y.csv", "--seed", "0"],  # neither draws a random number
+    ["portfolio", "x.csv", "y.csv", "--seed", "0"],
     ["describe", "x.csv", "--format", "csv"],  # describe writes JSON only
 ])
 def test_removed_flags_rejected(argv, capsys):
@@ -542,6 +573,21 @@ class TestRerun:
         assert main(["rerun", "../work/out/analyze_manifest.json"]) == 0
         assert {p.name: p.read_bytes() for p in (work / "out").iterdir()} == before
         assert list(elsewhere.iterdir()) == []
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("argv", [1], "argv must be"),
+        ("argv", ["rerun", "m.json"], "argv must be"),  # a manifest that replays itself
+        ("cwd", 5, "cwd must be a string"),
+    ], ids=["argv-not-strings", "argv-reruns", "cwd-not-string"])
+    def test_malformed_manifest_exit_2(self, tmp_path, capsys, monkeypatch, field, value,
+                                       message):
+        monkeypatch.chdir(tmp_path)
+        manifest = {"argv": ["describe", "x.csv"], "tool_version": fractal_xcorr.__version__,
+                    "cwd": str(tmp_path), "input_digests": {}, field: value}
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        assert main(["rerun", "m.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: m.json: ") and message in err and err.count("\n") == 1
 
     def test_missing_manifest_exit_2(self, tmp_path, capsys):
         assert main(["rerun", str(tmp_path / "none.json")]) == 2

@@ -148,8 +148,7 @@ class TestScipyFreeConvolution:
         spec = McArfimaSpec(length=length, seed=seed, cross_corr=0.5,
                             d2=0.1 + 0.05 * seed, alpha=0.7, delta=1.3, **other)
         sample = generate(spec)
-        eps = correlated_innovations(spec, spec.length + spec.truncation,
-                                     rng=np.random.default_rng(spec.seed))
+        eps = correlated_innovations(spec, spec.length + spec.truncation)
         w = [arfima_weights(d, spec.truncation) for d in (spec.d1, spec.d2, spec.d3, spec.d4)]
         sl = slice(spec.truncation, spec.truncation + spec.length)
         conv = [fftconvolve(e, wk, mode="full")[sl] for e, wk in zip(eps, w)]

@@ -312,9 +312,9 @@ class TestSurrogateBlocks:
         sizes = []
         run_jobs = benchmark._run_jobs
 
-        def record(fn, jobs, job_sizes):
-            sizes.extend(job_sizes)
-            return run_jobs(fn, jobs, job_sizes)
+        def record(fn, jobs):
+            sizes.extend(len(job[2]) for job in jobs)  # the rows of x's initial block
+            return run_jobs(fn, jobs)
 
         monkeypatch.setattr(surrogate, "_run_jobs", record)
         monkeypatch.setattr(benchmark, "_cpu_count", lambda: cpus)
@@ -353,9 +353,9 @@ class TestSurrogateBlocks:
         calls = []
         run_jobs = benchmark._run_jobs
 
-        def record(fn, jobs, sizes):
-            calls.append((fn, sizes))
-            return run_jobs(fn, jobs, sizes)
+        def record(fn, jobs):
+            calls.append((fn, [len(job[2]) for job in jobs]))
+            return run_jobs(fn, jobs)
 
         monkeypatch.setattr(surrogate, "_run_jobs", record)
         monkeypatch.setattr(benchmark, "_cpu_count", lambda: 1)
