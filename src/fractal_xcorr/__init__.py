@@ -44,7 +44,6 @@ from .mc_arfima import (
 )
 from .benchmark import BenchmarkConfig, EstimatorReport, run_benchmark, stability_sweep
 from .surrogate import (
-    IaaftConfig,
     SurrogateTestReport,
     classify,
     iaaft_surrogate,

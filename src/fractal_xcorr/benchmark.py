@@ -54,6 +54,8 @@ class BenchmarkConfig:
     def __post_init__(self):
         if self.replications < 10:
             raise InputError(f"replications={self.replications} < 10")
+        if self.master_seed < 0:
+            raise InputError(f"seed={self.master_seed} < 0")
         if any(n < 1 for n in self.lengths):
             raise InputError(f"lengths {list(self.lengths)} must be positive")
         check_orders(self.qs)

@@ -17,6 +17,8 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .benchmark import BenchmarkConfig, run_benchmark
 from .errors import DegenerateFluctuationError, InputError
@@ -25,13 +27,14 @@ from .mc_arfima import McArfimaSpec, generate
 from .portfolio import portfolio_scan
 from .scaling import log_scales
 from .series import AlignedPair, describe, load_csv, log_returns
-from .surrogate import IaaftConfig, classify, stars, surrogate_test
+from .surrogate import classify, stars, surrogate_test
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 DEFAULT_SCALES = "log:20:3162:10"
 SEED_ENV_VAR = "FRACTAL_XCORR_SEED"
+SEEDED_COMMANDS = ("simulate", "test", "benchmark")  # the ones that draw random numbers
 SEED_HELP = f"master seed (falls back to ${SEED_ENV_VAR}, then 0)"
 SPEC_FLAGS = ("d1", "d2", "d3", "d4", "cross_corr", "length", "truncation", "seed")
 
@@ -56,10 +59,13 @@ def _parse_scales(text: str) -> tuple:
         raise InputError(f"bad scale list {text!r}") from None
 
 
-def _resolve_seed(args) -> int:
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        return seed
+def _resolve_seed(args, recorded) -> int:
+    """--seed, else the seed a rerun's manifest recorded, else
+    $FRACTAL_XCORR_SEED, else 0."""
+    if args.seed is not None:
+        return args.seed
+    if recorded is not None:
+        return recorded
     env = os.environ.get(SEED_ENV_VAR, "0")
     try:
         return int(env)
@@ -114,17 +120,17 @@ def _write_json(path: Path, digest: str, payload):
     path.write_text(json.dumps({"manifest": digest, "results": payload}, indent=2) + "\n")
 
 
-def _save(args, argv, config: dict, inputs=(), seed=None, tables=(), json_name=None,
+def _save(args, argv, config: dict, inputs=(), tables=(), json_name=None,
           results=None) -> str:
     """Write the manifest, then the result files --format selects, and
     return the manifest digest.  tables are (file name, field names, rows)
     CSV files and results is the payload of json_name; a command without
-    --format writes both.  The out-dir is created only here, so a run that
-    fails before its writes leaves none."""
-    seed = _resolve_seed(args) if seed is None else seed  # can fail, so before the mkdir
+    --format writes both.  The manifest records the run's seed, 0 for a
+    command that draws no random number.  The out-dir is created only here,
+    so a run that fails before its writes leaves none."""
     out_dir = _path(args, "out_dir")
     out_dir.mkdir(parents=True, exist_ok=True)
-    digest = _write_manifest(out_dir, args.command, config, seed,
+    digest = _write_manifest(out_dir, args.command, config, getattr(args, "seed", 0),
                              {getattr(args, n): _file_digest(_path(args, n)) for n in inputs},
                              argv, args.cwd)
     fmt = getattr(args, "format", "both")
@@ -294,51 +300,40 @@ def cmd_simulate(args, argv) -> int:
     if args.spec_json and given:
         raise InputError("--spec-json excludes " + ", ".join("--" + name.replace("_", "-")
                                                              for name in given))
-    spec = (_read_spec(_path(args, "spec_json")) if args.spec_json
-            else McArfimaSpec(**{**given, "seed": _resolve_seed(args)}))
+    spec = _read_spec(_path(args, "spec_json")) if args.spec_json else McArfimaSpec(**given)
+    args.seed = spec.seed  # a --spec-json run takes its seed from the file
     sample = generate(spec)
-    digest = _save(args, argv, spec.to_dict(), inputs=("spec_json",) if args.spec_json else (),
-                   seed=spec.seed)
+    digest = _save(args, argv, spec.to_dict(), inputs=("spec_json",) if args.spec_json else ())
     for name, series in (("x", sample.x), ("y", sample.y)):
-        # "\n" line ends: csv.DictWriter (_write_csv) would end each row in "\r\n"
         with open(_path(args, "out_dir") / f"simulated_{name}.csv", "w", newline="") as fh:
-            fh.write(_result_header(digest) + "\n")
-            fh.write(name + "\n")
-            fh.writelines(f"{v:.17g}\n" for v in series.values)
+            np.savetxt(fh, series.values, fmt="%.17g", header=f"{_result_header(digest)}\n{name}",
+                       comments="")
     print(f"wrote simulated_x.csv, simulated_y.csv (N={spec.length}, seed={spec.seed})")
     return EXIT_OK
 
 
-def _benchmark_table_rows(reports, method: str, q: float, cross_corrs):
+def _benchmark_table_rows(reports, method: str, q: float):
     """Wide report layout: N x range-param down the side, (bias, sd, mse)
-    per correlation level across."""
-    rows = []
-    cells = {(r.length, r.range_param, r.cross_corr): r
-             for r in reports if r.method == method and r.q == q}
-    for length in sorted({k[0] for k in cells}):
-        for param in sorted({k[1] for k in cells if k[0] == length}):
-            row = {"N": length, "range_param": param}
-            for rho in cross_corrs:
-                r = cells.get((length, param, rho))
-                if r is None:
-                    continue
-                row[f"bias_rho{rho:g}"] = round(r.bias, 4)
-                row[f"sd_rho{rho:g}"] = round(r.sd, 4)
-                row[f"mse_rho{rho:g}"] = round(r.mse, 4)
-            rows.append(row)
-    return rows
+    per correlation level across, in the order the reports give them."""
+    rows = {}
+    for r in reports:
+        if r.method == method and r.q == q:
+            row = rows.setdefault((r.length, r.range_param),
+                                  {"N": r.length, "range_param": r.range_param})
+            row.update({f"{k}_rho{r.cross_corr:g}": round(getattr(r, k), 4)
+                        for k in ("bias", "sd", "mse")})
+    return [rows[k] for k in sorted(rows)]
 
 
 def cmd_benchmark(args, argv) -> int:
-    cross_corrs = _parse_list(args.cross_corrs, "--cross-corrs", float)
     cfg = BenchmarkConfig(
         lengths=_parse_list(args.lengths, "--lengths", int),
-        cross_corrs=cross_corrs,
+        cross_corrs=_parse_list(args.cross_corrs, "--cross-corrs", float),
         qs=tuple(args.q or DEFAULT_QS),
         replications=args.reps,
         dcca_n_min=_parse_list(args.n_min, "--n-min", int),
         dmca_s_max=_parse_list(args.s_max, "--s-max", int),
-        master_seed=_resolve_seed(args),
+        master_seed=args.seed,
         theta=args.theta,
     )
 
@@ -350,7 +345,7 @@ def cmd_benchmark(args, argv) -> int:
     reports = run_benchmark(cfg, progress=progress)
     tables = [(f"benchmark_{method.lower()}_q{q:g}.csv", list(rows[0].keys()), rows)
               for method in ("DCCA", "DMCA") for q in cfg.qs
-              if (rows := _benchmark_table_rows(reports, method, q, cross_corrs))]
+              if (rows := _benchmark_table_rows(reports, method, q))]
     config = {k: list(v) if isinstance(v, tuple) else v for k, v in vars(cfg).items()}
     _save(args, argv, config, tables=tables, json_name="benchmark.json",
           results=[r.to_dict() for r in reports])
@@ -361,8 +356,7 @@ def cmd_test(args, argv) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise InputError(f"--alpha {args.alpha} outside (0, 1)")
     pair, cfg, qs, config = _pair_run(args)
-    reports = surrogate_test(pair, cfg, n_surrogates=args.surrogates,
-                             iaaft=IaaftConfig(seed=_resolve_seed(args)), qs=qs)
+    reports = surrogate_test(pair, cfg, n_surrogates=args.surrogates, seed=args.seed, qs=qs)
     if reports[0].n_failed:
         print(f"note: {reports[0].n_failed} of {args.surrogates} surrogate pairs degenerate "
               "after retries", file=sys.stderr)
@@ -422,10 +416,13 @@ def cmd_rerun(args, _argv) -> int:
         raise InputError(f"{args.manifest}: written by tool version "
                          f"{manifest.get('tool_version')}, this is {__version__}")
     cwd, inputs = manifest.get("cwd"), manifest.get("input_digests", {})
+    seed = manifest.get("master_seed")
     if not isinstance(cwd, (str, type(None))):
         raise InputError(f"{args.manifest}: cwd must be a string")
     if not isinstance(inputs, dict):
         raise InputError(f"{args.manifest}: input_digests must be a JSON object")
+    if stored[0] in SEEDED_COMMANDS and (type(seed) is not int or seed < 0):
+        raise InputError(f"{args.manifest}: master_seed must be an integer >= 0")
     for name, digest in inputs.items():
         try:
             same = _file_digest(Path(cwd or "", name)) == digest
@@ -434,7 +431,7 @@ def cmd_rerun(args, _argv) -> int:
         if not same:
             raise InputError(f"input {name} changed since {args.manifest} was written")
     # No os.chdir: main() also runs in-process, inside the caller's cwd.
-    return _dispatch(stored, cwd=cwd)
+    return _dispatch(stored, cwd=cwd, seed=seed)
 
 
 _HANDLERS = {
@@ -448,9 +445,13 @@ _HANDLERS = {
 }
 
 
-def _dispatch(argv, cwd=None) -> int:
+def _dispatch(argv, cwd=None, seed=None) -> int:
+    """Run argv.  A rerun passes the working directory and the master seed
+    its manifest recorded; the seed replaces $FRACTAL_XCORR_SEED."""
     args = build_parser().parse_args(argv)
     args.cwd = cwd
+    if args.command in SEEDED_COMMANDS and not getattr(args, "spec_json", None):
+        args.seed = _resolve_seed(args, seed)
     return _HANDLERS[args.command](args, list(argv))
 
 

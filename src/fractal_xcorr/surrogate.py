@@ -22,18 +22,8 @@ from .series import AlignedPair, TimeSeries
 
 MIN_SURROGATE_LENGTH = 32
 MAX_REGENERATION_RETRIES = 10
-
-
-@dataclass(frozen=True)
-class IaaftConfig:
-    max_iterations: int = 1000
-    convergence_tol: float = 1e-8  # relative change in spectrum mismatch
-    seed: int = 0
-
-    def __post_init__(self):
-        for name, low in (("max_iterations", 1), ("seed", 0)):
-            if getattr(self, name) < low:
-                raise InputError(f"{name}={getattr(self, name)} < {low}")
+IAAFT_MAX_ITERATIONS = 1000
+IAAFT_CONVERGENCE_TOL = 1e-8  # relative change in spectrum mismatch
 
 
 @dataclass(frozen=True)
@@ -52,12 +42,12 @@ def _permutations(x: np.ndarray, n_rows: int, rng) -> np.ndarray:
     return np.array([rng.permutation(x) for _ in range(n_rows)])
 
 
-def _iaaft_ensemble(x: np.ndarray, n_rows: int, cfg: IaaftConfig, rng) -> np.ndarray:
+def _iaaft_ensemble(x: np.ndarray, n_rows: int, rng) -> np.ndarray:
     """n_rows IAAFT surrogates of x, shape (n_rows, N)."""
-    return _iaaft_rows(x, _permutations(x, n_rows, rng), cfg)
+    return _iaaft_rows(x, _permutations(x, n_rows, rng))
 
 
-def _iaaft_rows(x: np.ndarray, cand: np.ndarray, cfg: IaaftConfig) -> np.ndarray:
+def _iaaft_rows(x: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """IAAFT surrogates of x from the initial rows cand, shape (rows, N),
     which are overwritten and returned.
 
@@ -74,13 +64,13 @@ def _iaaft_rows(x: np.ndarray, cand: np.ndarray, cfg: IaaftConfig) -> np.ndarray
     target_norm = np.linalg.norm(target_amp)
     prev = np.full(cand.shape[0], np.inf)
     active = np.arange(cand.shape[0])
-    for _ in range(cfg.max_iterations):
+    for _ in range(IAAFT_MAX_ITERATIONS):
         spec = np.fft.rfft(cand[active], axis=1)
         amp = np.abs(spec)
         mismatch = np.linalg.norm(amp - target_amp, axis=1) / target_norm
         rel_change = np.abs(prev[active] - mismatch) / np.maximum(mismatch, 1e-300)
         prev[active] = mismatch
-        keep = rel_change >= cfg.convergence_tol
+        keep = rel_change >= IAAFT_CONVERGENCE_TOL
         if not keep.any():
             break
         active = active[keep]
@@ -96,12 +86,13 @@ def _iaaft_rows(x: np.ndarray, cand: np.ndarray, cfg: IaaftConfig) -> np.ndarray
     return cand
 
 
-def iaaft_surrogate(x: TimeSeries, cfg: IaaftConfig = IaaftConfig()) -> TimeSeries:
-    """One IAAFT surrogate of x; deterministic given cfg.seed."""
+def iaaft_surrogate(x: TimeSeries, seed: int = 0) -> TimeSeries:
+    """One IAAFT surrogate of x; deterministic given seed."""
+    if seed < 0:
+        raise InputError(f"seed={seed} < 0")
     if len(x) < MIN_SURROGATE_LENGTH:
         raise InputError(f"series too short for surrogates: N={len(x)} < {MIN_SURROGATE_LENGTH}")
-    rng = np.random.default_rng(cfg.seed)
-    out = _iaaft_ensemble(x.values, 1, cfg, rng)[0]
+    out = _iaaft_ensemble(x.values, 1, np.random.default_rng(seed))[0]
     return TimeSeries(out, label=f"{x.label}-surrogate")
 
 
@@ -120,17 +111,15 @@ def _rho_all_scales(px, py, cfg: DetrendConfig, qs) -> np.ndarray:
                      for s in cfg.scale_grid], axis=-1)
 
 
-def _surrogate_block(x, y, cand_x, cand_y, cfg: DetrendConfig, iaaft: IaaftConfig,
-                     qs) -> np.ndarray:
+def _surrogate_block(x, y, cand_x, cand_y, cfg: DetrendConfig, qs) -> np.ndarray:
     """_rho_all_scales of the IAAFT surrogate pairs grown from the initial
     rows cand_x and cand_y: one job of a surrogate test."""
-    px = np.cumsum(_iaaft_rows(x, cand_x, iaaft), axis=-1)
-    py = np.cumsum(_iaaft_rows(y, cand_y, iaaft), axis=-1)
+    px = np.cumsum(_iaaft_rows(x, cand_x), axis=-1)
+    py = np.cumsum(_iaaft_rows(y, cand_y), axis=-1)
     return _rho_all_scales(px, py, cfg, qs)
 
 
-def _score_new_pairs(x, y, n: int, rng_x, rng_y, cfg: DetrendConfig, iaaft: IaaftConfig,
-                     qs) -> np.ndarray:
+def _score_new_pairs(x, y, n: int, rng_x, rng_y, cfg: DetrendConfig, qs) -> np.ndarray:
     """_rho_all_scales of n new IAAFT surrogate pairs, in _row_blocks, each
     block one _surrogate_block job.
 
@@ -138,12 +127,12 @@ def _score_new_pairs(x, y, n: int, rng_x, rng_y, cfg: DetrendConfig, iaaft: Iaaf
     result depends on how the rows are cut into jobs or where they run.
     """
     cand_x, cand_y = _permutations(x, n, rng_x), _permutations(y, n, rng_y)
-    jobs = [(x, y, cand_x[a:b], cand_y[a:b], cfg, iaaft, qs) for a, b in _row_blocks(n, x.size)]
+    jobs = [(x, y, cand_x[a:b], cand_y[a:b], cfg, qs) for a, b in _row_blocks(n, x.size)]
     return np.concatenate(list(_run_jobs(_surrogate_block, jobs)))
 
 
 def surrogate_test(pair: AlignedPair, cfg: DetrendConfig, n_surrogates: int = 1000,
-                   iaaft: IaaftConfig = IaaftConfig(), qs=None) -> list:
+                   seed: int = 0, qs=None) -> list:
     """Two-tailed surrogate test of the scale-wise coefficient, for each q of
     ``qs`` (default ``(cfg.q,)``) on one shared surrogate ensemble.
 
@@ -151,8 +140,10 @@ def surrogate_test(pair: AlignedPair, cfg: DetrendConfig, n_surrogates: int = 10
     correction keeps p strictly positive.  A surrogate pair that is
     degenerate in any (q, scale) cell is regenerated from later draws of
     the same streams (capped), then counted out.  Reports are ordered by q,
-    then by scale.
+    then by scale; they are deterministic given seed.
     """
+    if seed < 0:
+        raise InputError(f"seed={seed} < 0")
     if n_surrogates < 100:
         raise InputError(f"n_surrogates={n_surrogates} < 100")
     if len(pair) < MIN_SURROGATE_LENGTH:
@@ -167,9 +158,9 @@ def surrogate_test(pair: AlignedPair, cfg: DetrendConfig, n_surrogates: int = 10
 
     # Streams are keyed on series content, not argument position, so that
     # swapping the pair yields the same surrogates and identical p-values.
-    rng_x = _series_rng(iaaft.seed, x)
-    rng_y = _series_rng(iaaft.seed, y)
-    surr_rhos = _score_new_pairs(x, y, n_surrogates, rng_x, rng_y, cfg, iaaft, qs)
+    rng_x = _series_rng(seed, x)
+    rng_y = _series_rng(seed, y)
+    surr_rhos = _score_new_pairs(x, y, n_surrogates, rng_x, rng_y, cfg, qs)
 
     # Retry pairs are drawn from the same streams and handed out in draw
     # order: the first degenerate row takes pairs until one is not
@@ -179,7 +170,7 @@ def surrogate_test(pair: AlignedPair, cfg: DetrendConfig, n_surrogates: int = 10
     failed = np.isnan(surr_rhos).any(axis=(1, 2))
     pending, tries = list(np.flatnonzero(failed)), 0
     while pending:
-        for rhos in _score_new_pairs(x, y, len(pending), rng_x, rng_y, cfg, iaaft, qs):
+        for rhos in _score_new_pairs(x, y, len(pending), rng_x, rng_y, cfg, qs):
             tries += 1
             ok = not np.isnan(rhos).any()
             if ok:

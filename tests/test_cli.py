@@ -347,9 +347,9 @@ class TestSurrogateCommand:
             draws.append(n_rows)
             return permutations(x, n_rows, rng)
 
-        def counting_rows(x, cand, cfg):
+        def counting_rows(x, cand):
             iterated.append(len(cand))
-            return iaaft_rows(x, cand, cfg)
+            return iaaft_rows(x, cand)
 
         monkeypatch.setattr(surrogate, "_permutations", counting_draws)
         monkeypatch.setattr(surrogate, "_iaaft_rows", counting_rows)
@@ -372,7 +372,7 @@ class TestSurrogateCommand:
     ])
     def test_worker_error_reaches_exit_code(self, price_files, tmp_path, capsys, monkeypatch,
                                             error, rc, prefix):
-        def fail(x, cand, cfg):
+        def fail(x, cand):
             raise error(f"raised in pid {os.getpid()}")
 
         monkeypatch.setattr(surrogate, "_iaaft_rows", fail)
@@ -508,8 +508,10 @@ class TestFormat:
     def test_bad_seed_variable_leaves_no_out_dir(self, price_files, tmp_path, capsys,
                                                  monkeypatch):
         monkeypatch.setenv("FRACTAL_XCORR_SEED", "abc")
+        xp, yp = price_files
         out = tmp_path / "out"
-        assert main(self._argv("analyze", *price_files) + ["--out-dir", str(out)]) == 2
+        assert main(["test", str(xp), str(yp), "--column", "close", "--scales", "10,20,40",
+                     "--surrogates", "100", "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err == "error: FRACTAL_XCORR_SEED='abc' is not an integer\n"
         assert not out.exists()
 
@@ -588,6 +590,41 @@ class TestRerun:
         assert main(["rerun", "m.json"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: m.json: ") and message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--length", "300", "--truncation", "500"],
+        ["test", "{x}", "{y}", "--column", "close", "--scales", "10,20", "--surrogates", "100"],
+        ["benchmark", "--reps", "10", "--lengths", "500", "--cross-corrs", "0.5",
+         "--n-min", "10", "--s-max", "20", "--q", "2"],
+    ], ids=["simulate", "test", "benchmark"])
+    def test_replays_the_recorded_seed(self, price_files, tmp_path, monkeypatch, argv):
+        xp, yp = price_files
+        out = tmp_path / "out"
+        monkeypatch.setenv("FRACTAL_XCORR_SEED", "9")
+        assert main([a.format(x=xp, y=yp) for a in argv] + ["--out-dir", str(out)]) == 0
+        (manifest,) = out.glob("*_manifest.json")
+        assert json.loads(manifest.read_text())["master_seed"] == 9
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        for p in out.iterdir():
+            if p != manifest:
+                p.unlink()
+        monkeypatch.setenv("FRACTAL_XCORR_SEED", "4")
+        assert main(["rerun", str(manifest)]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("value", ["9", -1, 1.5, True, None])
+    def test_bad_recorded_seed_exit_2(self, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        assert main(["simulate", "--length", "300", "--truncation", "500",
+                     "--out-dir", str(out)]) == 0
+        manifest = out / "simulate_manifest.json"
+        payload = json.loads(manifest.read_text())
+        payload["master_seed"] = value
+        manifest.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["rerun", str(manifest)]) == 2
+        assert capsys.readouterr().err == (f"error: {manifest}: master_seed must be an "
+                                           "integer >= 0\n")
 
     def test_missing_manifest_exit_2(self, tmp_path, capsys):
         assert main(["rerun", str(tmp_path / "none.json")]) == 2
@@ -700,16 +737,38 @@ class TestUnreadablePaths:
         assert str(xp) in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--length", "300", "--truncation", "500", "--seed", "-1"],
-    ["test", "{x}", "{y}", "--column", "close", "--scales", "10,20", "--seed", "-1"],
+@pytest.mark.parametrize("argv, env", [
+    (["simulate", "--length", "300", "--truncation", "500", "--seed", "-1"], None),
+    (["test", "{x}", "{y}", "--column", "close", "--scales", "10,20", "--seed", "-1"], None),
+    (["benchmark", "--reps", "10", "--lengths", "500", "--cross-corrs", "0.5", "--seed", "-1"],
+     None),
+    (["test", "{x}", "{y}", "--column", "close", "--scales", "10,20"], "-1"),
 ])
-def test_negative_seed_exit_2(price_files, tmp_path, capsys, argv):
+def test_negative_seed_exit_2(price_files, tmp_path, capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("FRACTAL_XCORR_SEED", env)
     xp, yp = price_files
     out = tmp_path / "out"
     assert main([a.format(x=xp, y=yp) for a in argv] + ["--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == "error: seed=-1 < 0\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["describe", "{x}"], "-5"),
+    (["analyze", "{x}", "{y}", "--scales", "10,20"], "abc"),
+    (["portfolio", "{x}", "{y}", "--scales", "10,20"], "-5"),
+])
+def test_unseeded_commands_ignore_the_seed_variable(price_files, tmp_path, monkeypatch, argv,
+                                                    env):
+    # they draw no random number, so they read no seed and record 0
+    monkeypatch.setenv("FRACTAL_XCORR_SEED", env)
+    xp, yp = price_files
+    out = tmp_path / "out"
+    assert main([a.format(x=xp, y=yp) for a in argv]
+                + ["--column", "close", "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / f"{argv[0]}_manifest.json").read_text())
+    assert manifest["master_seed"] == 0
 
 
 # -- exit codes over argv drawn from the parser's own flags ---------------------

@@ -4,7 +4,6 @@ import pytest
 from fractal_xcorr import (
     AlignedPair,
     DetrendConfig,
-    IaaftConfig,
     InputError,
     TimeSeries,
     iaaft_surrogate,
@@ -23,7 +22,7 @@ def arfima_series(seed, n=1024):
     return generate(McArfimaSpec(length=n, seed=seed, truncation=2000)).x
 
 
-def iaaft_reference(x, n_rows, cfg, rng):
+def iaaft_reference(x, n_rows, rng):
     """The IAAFT iteration with the phase taken as exp(i * angle(spec))."""
     N = x.size
     sorted_x = np.sort(x)
@@ -34,12 +33,12 @@ def iaaft_reference(x, n_rows, cfg, rng):
         cand[i] = rng.permutation(x)
     prev = np.full(n_rows, np.inf)
     active = np.arange(n_rows)
-    for _ in range(cfg.max_iterations):
+    for _ in range(surrogate.IAAFT_MAX_ITERATIONS):
         spec = np.fft.rfft(cand[active], axis=1)
         mismatch = np.linalg.norm(np.abs(spec) - target_amp, axis=1) / target_norm
         rel_change = np.abs(prev[active] - mismatch) / np.maximum(mismatch, 1e-300)
         prev[active] = mismatch
-        keep = rel_change >= cfg.convergence_tol
+        keep = rel_change >= surrogate.IAAFT_CONVERGENCE_TOL
         if not keep.any():
             break
         active = active[keep]
@@ -56,18 +55,16 @@ class TestIaaftPhaseStep:
     def test_bit_identical_to_reference(self, n, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_t(3, n) if seed % 2 else arfima_series(seed, n).values
-        cfg = IaaftConfig(seed=seed)
-        got = _iaaft_ensemble(x, 20, cfg, np.random.default_rng(seed))
-        want = iaaft_reference(x, 20, cfg, np.random.default_rng(seed))
+        got = _iaaft_ensemble(x, 20, np.random.default_rng(seed))
+        want = iaaft_reference(x, 20, np.random.default_rng(seed))
         assert np.array_equal(got, want)
 
     def test_zero_dc_bin(self):
         # integers summing to exactly zero: the DC bin of every candidate is 0
         x = np.array([3, -1, 4, -1, -5, 9, -2, 6, -5, 3, -5, -6] * 8, dtype=float)
         assert x.sum() == 0.0 and np.fft.rfft(x)[0] == 0.0
-        cfg = IaaftConfig(seed=1)
-        got = _iaaft_ensemble(x, 20, cfg, np.random.default_rng(1))
-        want = iaaft_reference(x, 20, cfg, np.random.default_rng(1))
+        got = _iaaft_ensemble(x, 20, np.random.default_rng(1))
+        want = iaaft_reference(x, 20, np.random.default_rng(1))
         assert np.all(np.isfinite(got))
         assert np.array_equal(np.sort(got, axis=1), np.broadcast_to(np.sort(x), got.shape))
         assert np.array_equal(got, want)
@@ -77,14 +74,14 @@ class TestIaaftSurrogate:
     def test_value_multiset_preserved(self):
         for seed in range(5):
             x = arfima_series(seed)
-            s = iaaft_surrogate(x, IaaftConfig(seed=seed))
+            s = iaaft_surrogate(x, seed=seed)
             assert np.array_equal(np.sort(s.values), np.sort(x.values))
 
     def test_spectrum_match(self):
         # the iteration has an intrinsic fixed-point mismatch floor of a few
         # 1e-3 at this length; anything below 5e-3 means it converged
         x = arfima_series(3)
-        s = iaaft_surrogate(x, IaaftConfig(seed=0))
+        s = iaaft_surrogate(x, seed=0)
         amp_x = np.abs(np.fft.rfft(x.values))
         amp_s = np.abs(np.fft.rfft(s.values))
         mismatch = np.linalg.norm(amp_s - amp_x) / np.linalg.norm(amp_x)
@@ -93,25 +90,23 @@ class TestIaaftSurrogate:
     def test_different_seeds_near_independent(self):
         x = arfima_series(8)
         for seed in range(20):
-            a = iaaft_surrogate(x, IaaftConfig(seed=seed)).values
-            b = iaaft_surrogate(x, IaaftConfig(seed=seed + 1000)).values
+            a = iaaft_surrogate(x, seed=seed).values
+            b = iaaft_surrogate(x, seed=seed + 1000).values
             assert abs(np.corrcoef(a, b)[0, 1]) < 0.25
 
     def test_deterministic(self):
         x = arfima_series(2)
-        a = iaaft_surrogate(x, IaaftConfig(seed=5))
-        b = iaaft_surrogate(x, IaaftConfig(seed=5))
+        a = iaaft_surrogate(x, seed=5)
+        b = iaaft_surrogate(x, seed=5)
         assert np.array_equal(a.values, b.values)
 
     def test_short_series_rejected(self):
         with pytest.raises(InputError, match="too short"):
             iaaft_surrogate(TimeSeries(np.arange(10.0)))
 
-    def test_config_validation(self):
-        with pytest.raises(InputError):
-            IaaftConfig(max_iterations=0)
+    def test_negative_seed_rejected(self):
         with pytest.raises(InputError, match=r"^seed=-1 < 0$"):
-            IaaftConfig(seed=-1)
+            iaaft_surrogate(arfima_series(0), seed=-1)
 
 
 class TestSurrogateTest:
@@ -156,12 +151,11 @@ class TestSurrogateTest:
     def test_several_qs_match_single_q_calls(self):
         pair = gaussian_pair(7, 800, corr=-0.3)
         grid = (10, 20, 50)
-        iaaft = IaaftConfig(seed=3)
         joint = surrogate_test(pair, DetrendConfig(scale_grid=grid, q=2.0), n_surrogates=100,
-                               iaaft=iaaft, qs=(2.0, 4.0, -2.0))
+                               seed=3, qs=(2.0, 4.0, -2.0))
         single = [rep for q in (2.0, 4.0, -2.0)
                   for rep in surrogate_test(pair, DetrendConfig(scale_grid=grid, q=q),
-                                            n_surrogates=100, iaaft=iaaft)]
+                                            n_surrogates=100, seed=3)]
         assert [(r.q, r.scale) for r in joint] == [(r.q, r.scale) for r in single]
         for a, b in zip(joint, single):
             assert np.array_equal(a.surrogate_values, b.surrogate_values)
@@ -224,6 +218,8 @@ class TestSurrogateTest:
         with pytest.raises(InputError, match="too short"):
             surrogate_test(short, DetrendConfig(scale_grid=(5,), q=2.0),
                            n_surrogates=100)
+        with pytest.raises(InputError, match=r"^seed=-1 < 0$"):
+            surrogate_test(pair, self.cfg, n_surrogates=100, seed=-1)
 
     @pytest.mark.parametrize("qs,message", [
         ((), "empty list of fluctuation orders"),
@@ -237,15 +233,15 @@ class TestSurrogateTest:
             surrogate_test(gaussian_pair(0, 600), self.cfg, n_surrogates=100, qs=qs)
 
 
-def surrogate_test_reference(pair, cfg, n_surrogates, iaaft, qs):
+def surrogate_test_reference(pair, cfg, n_surrogates, seed, qs):
     """The surrogate test as one ensemble per series, scored one surrogate
     pair at a time, each degenerate pair regenerated in row order."""
     x, y = pair.x.values, pair.y.values
     observed = surrogate._rho_all_scales(np.cumsum(x), np.cumsum(y), cfg, qs)
-    rng_x = _series_rng(iaaft.seed, x)
-    rng_y = _series_rng(iaaft.seed, y)
-    sx = _iaaft_ensemble(x, n_surrogates, iaaft, rng_x)
-    sy = _iaaft_ensemble(y, n_surrogates, iaaft, rng_y)
+    rng_x = _series_rng(seed, x)
+    rng_y = _series_rng(seed, y)
+    sx = _iaaft_ensemble(x, n_surrogates, rng_x)
+    sy = _iaaft_ensemble(y, n_surrogates, rng_y)
     surr_rhos = np.empty((n_surrogates, len(qs), len(cfg.scale_grid)))
     failed = np.zeros(n_surrogates, dtype=bool)
     for i in range(n_surrogates):
@@ -253,8 +249,8 @@ def surrogate_test_reference(pair, cfg, n_surrogates, iaaft, qs):
         retries = 0
         while np.isnan(rhos).any() and retries < surrogate.MAX_REGENERATION_RETRIES:
             retries += 1
-            sx[i] = _iaaft_ensemble(x, 1, iaaft, rng_x)[0]
-            sy[i] = _iaaft_ensemble(y, 1, iaaft, rng_y)[0]
+            sx[i] = _iaaft_ensemble(x, 1, rng_x)[0]
+            sy[i] = _iaaft_ensemble(y, 1, rng_y)[0]
             rhos = surrogate._rho_all_scales(np.cumsum(sx[i]), np.cumsum(sy[i]), cfg, qs)
         if np.isnan(rhos).any():
             failed[i] = True
@@ -287,7 +283,7 @@ def assert_same_reports(got, want):
 class TestSurrogateBlocks:
     cfg = DetrendConfig(scale_grid=(10, 20, 50), q=2.0)
     qs = (2.0, 4.0, -2.0)
-    iaaft = IaaftConfig(seed=5)
+    seed = 5
 
     @pytest.fixture(scope="class")
     def pair(self):
@@ -295,7 +291,7 @@ class TestSurrogateBlocks:
 
     @pytest.fixture(scope="class")
     def want(self, pair):
-        return surrogate_test_reference(pair, self.cfg, 100, self.iaaft, self.qs)
+        return surrogate_test_reference(pair, self.cfg, 100, self.seed, self.qs)
 
     @pytest.mark.parametrize("rows", [None, 3, 1])
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -304,7 +300,7 @@ class TestSurrogateBlocks:
         if rows is not None:
             monkeypatch.setattr(benchmark, "BLOCK_POINTS", rows * len(pair))
         monkeypatch.setattr(benchmark, "_cpu_count", lambda: cpus)
-        got = surrogate_test(pair, self.cfg, n_surrogates=100, iaaft=self.iaaft, qs=self.qs)
+        got = surrogate_test(pair, self.cfg, n_surrogates=100, seed=self.seed, qs=self.qs)
         assert_same_reports(got, want)
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -318,7 +314,7 @@ class TestSurrogateBlocks:
 
         monkeypatch.setattr(surrogate, "_run_jobs", record)
         monkeypatch.setattr(benchmark, "_cpu_count", lambda: cpus)
-        surrogate_test(pair, self.cfg, n_surrogates=130, iaaft=self.iaaft)
+        surrogate_test(pair, self.cfg, n_surrogates=130, seed=self.seed)
         rows = benchmark.BLOCK_POINTS // len(pair)
         assert sizes == [rows, rows, 130 - 2 * rows]
 
@@ -328,16 +324,15 @@ class TestSurrogateBlocks:
         # rows 37 and 61 are the only surrogate pairs whose x surrogate starts
         # at its value; both are marked degenerate, and so is any retry that
         # starts there
-        sx = _iaaft_ensemble(pair.x.values, 100, self.iaaft,
-                             _series_rng(self.iaaft.seed, pair.x.values))
+        sx = _iaaft_ensemble(pair.x.values, 100, _series_rng(self.seed, pair.x.values))
         starts = sx[[37, 61], 0]
         assert np.isin(sx[:, 0], starts).sum() == 2 and pair.x.values[0] not in starts
         seen = mark_degenerate(monkeypatch, starts)
         monkeypatch.setattr(benchmark, "_cpu_count", lambda: cpus)
         monkeypatch.setattr(benchmark, "BLOCK_POINTS", 30 * len(pair))
-        got = surrogate_test(pair, self.cfg, n_surrogates=100, iaaft=self.iaaft, qs=self.qs)
+        got = surrogate_test(pair, self.cfg, n_surrogates=100, seed=self.seed, qs=self.qs)
         del seen[:]
-        regenerated = surrogate_test_reference(pair, self.cfg, 100, self.iaaft, self.qs)
+        regenerated = surrogate_test_reference(pair, self.cfg, 100, self.seed, self.qs)
         assert len(seen) >= 1 + 100 + 2  # the observed pair, the ensemble, the retries
         assert regenerated[0].n_failed == 0
         assert_same_reports(got, regenerated)
@@ -347,8 +342,7 @@ class TestSurrogateBlocks:
     def test_degenerate_rows_retried_in_block_jobs(self, monkeypatch, pair):
         # rows 37 and 61 degenerate (see above): one round of two retry pairs
         # goes through the same block runner as the ensemble
-        sx = _iaaft_ensemble(pair.x.values, 100, self.iaaft,
-                             _series_rng(self.iaaft.seed, pair.x.values))
+        sx = _iaaft_ensemble(pair.x.values, 100, _series_rng(self.seed, pair.x.values))
         mark_degenerate(monkeypatch, sx[[37, 61], 0])
         calls = []
         run_jobs = benchmark._run_jobs
@@ -359,7 +353,7 @@ class TestSurrogateBlocks:
 
         monkeypatch.setattr(surrogate, "_run_jobs", record)
         monkeypatch.setattr(benchmark, "_cpu_count", lambda: 1)
-        reports = surrogate_test(pair, self.cfg, n_surrogates=100, iaaft=self.iaaft, qs=self.qs)
+        reports = surrogate_test(pair, self.cfg, n_surrogates=100, seed=self.seed, qs=self.qs)
         assert reports[0].n_failed == 0
         assert [(fn, sum(sizes)) for fn, sizes in calls] == [(surrogate._surrogate_block, 100),
                                                             (surrogate._surrogate_block, 2)]
