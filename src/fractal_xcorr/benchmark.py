@@ -33,9 +33,9 @@ from .scaling import log_scales, ols_fit
 
 DMCA_FIT_S_LO = 10  # lower fit bound when s_max is the swept parameter
 DCCA_FIT_HI_DIVISOR = 5  # upper fit bound N/5 when n_min is the swept parameter
-# Replications of a cell and surrogate pairs go through in blocks of at most
-# this many points (rows x N; at least one row).  It bounds memory and keeps
-# the working arrays in cache; no result depends on it.
+# Replications of a cell and surrogate pairs go through in the fewest blocks of
+# at most this many points (rows x N; at least one row), split evenly.  It
+# bounds memory and keeps the working arrays in cache; no result depends on it.
 BLOCK_POINTS = 1 << 15
 
 
@@ -199,10 +199,11 @@ def _run_jobs(fn, jobs: list):
 
 
 def _row_blocks(n_rows: int, length: int) -> list:
-    """(first, stop) of each block of rows of length points, in order: at
-    most BLOCK_POINTS points a block, and at least one row."""
-    rows = max(1, BLOCK_POINTS // length)
-    return [(first, min(first + rows, n_rows)) for first in range(0, n_rows, rows)]
+    """(first, stop) of each block of rows of length points, in order: as few
+    blocks as hold at most BLOCK_POINTS points each (and at least one row),
+    with sizes that differ by at most one row, so the jobs weigh alike."""
+    blocks = -(-n_rows // max(1, BLOCK_POINTS // length))  # ceiling division
+    return [(i * n_rows // blocks, (i + 1) * n_rows // blocks) for i in range(blocks)]
 
 
 def _cell_estimates(cfg: BenchmarkConfig, cells):

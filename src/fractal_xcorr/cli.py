@@ -398,7 +398,9 @@ def cmd_portfolio(args, argv) -> int:
 
 
 def cmd_describe(args, argv) -> int:
-    result = describe(*_load(args, "x_csv")).to_dict()
+    # a zero-variance series has NaN shape statistics, which JSON spells null
+    result = {k: v if np.isfinite(v) else None
+              for k, v in describe(*_load(args, "x_csv")).to_dict().items()}
     _save(args, argv, {"returns": args.returns, "column": args.column}, inputs=("x_csv",),
           json_name="describe.json", results=result)
     print(json.dumps(result, indent=2))

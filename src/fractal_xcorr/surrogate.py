@@ -56,33 +56,37 @@ def _iaaft_rows(x: np.ndarray, cand: np.ndarray) -> np.ndarray:
     output always carries the exact original value multiset.  A row stops
     iterating once the relative change of its spectrum mismatch falls below
     the tolerance; rows never interact, so any split of an ensemble into
-    blocks gives the same rows.
+    blocks gives the same rows.  The rows still iterating live in one working
+    array, and each is written back to cand once, when it stops.
     """
     N = x.size
     sorted_x = np.sort(x)
     target_amp = np.abs(np.fft.rfft(x))
     target_norm = np.linalg.norm(target_amp)
     prev = np.full(cand.shape[0], np.inf)
-    active = np.arange(cand.shape[0])
+    rows, cur = np.arange(cand.shape[0]), cand  # cur[i] is row rows[i] of cand
     for _ in range(IAAFT_MAX_ITERATIONS):
-        spec = np.fft.rfft(cand[active], axis=1)
+        spec = np.fft.rfft(cur, axis=1)
         amp = np.abs(spec)
         mismatch = np.linalg.norm(amp - target_amp, axis=1) / target_norm
-        rel_change = np.abs(prev[active] - mismatch) / np.maximum(mismatch, 1e-300)
-        prev[active] = mismatch
-        keep = rel_change >= IAAFT_CONVERGENCE_TOL
-        if not keep.any():
-            break
-        active = active[keep]
+        keep = np.abs(prev - mismatch) / np.maximum(mismatch, 1e-300) >= IAAFT_CONVERGENCE_TOL
+        prev = mismatch
+        if not keep.all():
+            cand[rows[~keep]] = cur[~keep]
+            if not keep.any():
+                return cand
+            rows, spec, amp, prev = rows[keep], spec[keep], amp[keep], prev[keep]
         # spec / |spec| is the unit phasor; a zero bin takes phase 0, as
         # np.angle(0) does, so it carries target_amp unchanged.
-        zero = amp == 0.0
-        spec[zero] = 1.0
-        amp[zero] = 1.0
-        nxt = np.fft.irfft(spec[keep] * (target_amp / amp[keep]), n=N, axis=1)
-        order = np.argsort(nxt, axis=1)
-        nxt[np.arange(active.size)[:, None], order] = sorted_x[None, :]
-        cand[active] = nxt
+        if not amp.all():
+            zero = amp == 0.0
+            spec[zero] = 1.0
+            amp[zero] = 1.0
+        spec *= np.divide(target_amp, amp, out=amp)
+        cur = np.fft.irfft(spec, n=N, axis=1)
+        for row, order in zip(cur, np.argsort(cur, axis=1)):
+            row[order] = sorted_x
+    cand[rows] = cur
     return cand
 
 

@@ -178,6 +178,7 @@ def test_criterion_07_hurst_recovery(capsys):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_08_surrogate_calibration(capsys):
     cfg = DetrendConfig(scale_grid=(20,), q=2.0)
     rejections = 0

@@ -1,4 +1,5 @@
 import concurrent.futures
+import math
 import time
 
 import numpy as np
@@ -251,7 +252,20 @@ class TestBatchedReplications:
         monkeypatch.setattr(bench_mod, "BLOCK_POINTS", 4 * 500)
         monkeypatch.setattr(bench_mod, "_cpu_count", lambda: 1)  # a worker's calls are not seen here
         run_benchmark(SMALL)
-        assert rows == [(4, 500), (4, 500), (2, 500)]
+        # 10 replications, at most 4 a block: ceil(10 / 4) = 3 blocks, as even as possible
+        assert rows == [(3, 500), (3, 500), (4, 500)]
+
+    @pytest.mark.parametrize("length", [1, 64, 500, 600, 1000, 5000, 35608,
+                                        bench_mod.BLOCK_POINTS + 1])
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 10, 100, 130, 1000])
+    def test_row_blocks_fewest_and_even(self, n_rows, length):
+        cap = max(1, bench_mod.BLOCK_POINTS // length)
+        blocks = bench_mod._row_blocks(n_rows, length)
+        assert [first for first, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
+        assert blocks[-1][1] == n_rows
+        assert len(blocks) == math.ceil(n_rows / cap)
+        sizes = [stop - first for first, stop in blocks]
+        assert max(sizes) - min(sizes) <= 1 and 1 <= min(sizes) and max(sizes) <= cap
 
     @pytest.mark.parametrize("q", [0.0, float("nan"), float("inf"), -float("inf")])
     def test_zero_and_non_finite_orders_rejected(self, q):

@@ -438,6 +438,21 @@ class TestDescribeCommand:
         assert set(payload["results"]) >= {"mean", "std_dev", "skewness",
                                            "kurtosis", "jarque_bera_p_value"}
 
+    def test_zero_variance_series_writes_strict_json(self, tmp_path, capsys):
+        def no_constant(token):
+            raise ValueError(f"not JSON: {token}")
+
+        xp, out = tmp_path / "const.csv", tmp_path / "d"
+        write_prices(xp, [100.0] * 50)
+        rc = main(["describe", str(xp), "--column", "close", "--out-dir", str(out)])
+        assert rc == 0
+        printed = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+        saved = json.loads((out / "describe.json").read_text(), parse_constant=no_constant)
+        assert saved["results"] == printed
+        assert printed["std_dev"] == 0.0
+        assert [k for k, v in printed.items() if v is None] == [
+            "skewness", "kurtosis", "jarque_bera_statistic", "jarque_bera_p_value"]
+
     def test_non_utf8_csv_exit_2(self, tmp_path, capsys):
         latin = tmp_path / "latin.csv"
         latin.write_bytes("v\n1.0\n2.0\ncaf\u00e9\n".encode("latin-1"))

@@ -59,6 +59,22 @@ class TestIaaftPhaseStep:
         want = iaaft_reference(x, 20, np.random.default_rng(seed))
         assert np.array_equal(got, want)
 
+    def test_bit_identical_to_reference_at_bluestein_length(self, monkeypatch):
+        # 4451 is prime (35,608 = 2^3 * 4451), so pocketfft takes its Bluestein
+        # path; each of the 6 rows stops iterating at a different iteration
+        x = np.random.default_rng(5).standard_t(3, 4451)
+        active, irfft = [], np.fft.irfft
+
+        def record(spec, *args, **kwargs):
+            active.append(spec.shape[0])
+            return irfft(spec, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", record)
+        got = _iaaft_ensemble(x, 6, np.random.default_rng(5))
+        assert sorted(set(active)) == [1, 2, 3, 4, 5, 6]
+        want = iaaft_reference(x, 6, np.random.default_rng(5))
+        assert np.array_equal(got, want)
+
     def test_zero_dc_bin(self):
         # integers summing to exactly zero: the DC bin of every candidate is 0
         x = np.array([3, -1, 4, -1, -5, 9, -2, 6, -5, 3, -5, -6] * 8, dtype=float)
@@ -315,8 +331,8 @@ class TestSurrogateBlocks:
         monkeypatch.setattr(surrogate, "_run_jobs", record)
         monkeypatch.setattr(benchmark, "_cpu_count", lambda: cpus)
         surrogate_test(pair, self.cfg, n_surrogates=130, seed=self.seed)
-        rows = benchmark.BLOCK_POINTS // len(pair)
-        assert sizes == [rows, rows, 130 - 2 * rows]
+        assert benchmark.BLOCK_POINTS // len(pair) == 54  # rows a block may hold
+        assert sizes == [43, 43, 44]  # ceil(130 / 54) = 3 blocks, as even as possible
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_degenerate_row_regenerated_with_the_same_draws(self, monkeypatch, pair, want,
