@@ -13,7 +13,9 @@ n_min .. N/5; moving-average runs parameterized by s_max fit scales
 
 from __future__ import annotations
 
+import itertools
 import os
+from collections import deque
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -171,15 +173,20 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _run_jobs(fn, jobs: list):
-    """fn(*job) for every job, yielded in job order.
+def _run_jobs(fn, jobs):
+    """fn(*job) for every job of the iterable jobs, yielded in job order.
 
-    With at least two jobs and two CPUs the jobs run in a pool of forked
-    worker processes; otherwise one after another in this process.  Every
-    job draws its own random numbers or is handed them, so the results do
-    not depend on where or in which order the jobs run.
+    With at least two jobs and two CPUs the jobs run in a pool of
+    min(CPUs, jobs) forked worker processes; otherwise one after another in
+    this process.  A job is taken from jobs only when a worker can soon run
+    it: at most workers + 1 are taken but not yet yielded, so jobs that are
+    built as they are taken are held only that many at a time.  Every job
+    draws its own random numbers or is handed them, so the results do not
+    depend on where or in which order the jobs run.
     """
-    workers = min(_cpu_count(), len(jobs))
+    jobs = iter(jobs)
+    head = list(itertools.islice(jobs, _cpu_count()))
+    workers, jobs = len(head), itertools.chain(head, jobs)
     if workers < 2 or not hasattr(os, "fork"):
         for job in jobs:
             yield fn(*job)
@@ -192,7 +199,13 @@ def _run_jobs(fn, jobs: list):
     # No Python thread of this package is running when the workers fork.
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
         try:
-            yield from pool.map(fn, *zip(*jobs))
+            running = deque()
+            for job in jobs:
+                running.append(pool.submit(fn, *job))
+                if len(running) > workers:
+                    yield running.popleft().result()
+            while running:
+                yield running.popleft().result()
         except BaseException:  # a job failed or the consumer stopped: drop the rest
             pool.shutdown(cancel_futures=True)
             raise

@@ -222,7 +222,8 @@ def describe(r: TimeSeries) -> DescriptiveStats:
         raise InputError(f"series {r.label!r}: need at least 8 observations, got {v.size}")
     mean = float(v.mean())
     dev = v - mean
-    m2 = float(np.mean(dev**2))
+    ss = float(np.sum(dev**2))
+    m2 = ss / v.size
     if m2 == 0.0:
         return DescriptiveStats(
             min=float(v.min()), max=float(v.max()), mean=mean, std_dev=0.0,
@@ -236,7 +237,7 @@ def describe(r: TimeSeries) -> DescriptiveStats:
         min=float(v.min()),
         max=float(v.max()),
         mean=mean,
-        std_dev=float(v.std(ddof=1)),
+        std_dev=math.sqrt(ss / (v.size - 1)),
         skewness=skew,
         kurtosis=kurt,
         jarque_bera_statistic=jb,

@@ -38,8 +38,12 @@ class SurrogateTestReport:
 
 
 def _permutations(x: np.ndarray, n_rows: int, rng) -> np.ndarray:
-    """n_rows random permutations of x: the initial rows of an IAAFT ensemble."""
-    return np.array([rng.permutation(x) for _ in range(n_rows)])
+    """n_rows random permutations of x, each written straight into its row of
+    one (n_rows, N) array: the initial rows of an IAAFT ensemble."""
+    out = np.empty((n_rows, x.size), x.dtype)
+    for row in out:
+        row[:] = rng.permutation(x)
+    return out
 
 
 def _iaaft_ensemble(x: np.ndarray, n_rows: int, rng) -> np.ndarray:
@@ -127,11 +131,13 @@ def _score_new_pairs(x, y, n: int, rng_x, rng_y, cfg: DetrendConfig, qs) -> np.n
     """_rho_all_scales of n new IAAFT surrogate pairs, in _row_blocks, each
     block one _surrogate_block job.
 
-    Every initial row is drawn here, all of x's, then all of y's, so no
-    result depends on how the rows are cut into jobs or where they run.
+    Each block's initial rows are drawn here, as _run_jobs takes its job: its
+    x rows from rng_x, then its y rows from rng_y.  Each stream is drawn in
+    row order, so no result depends on how the rows are cut into jobs or
+    where they run, and only the blocks of _run_jobs' window are held.
     """
-    cand_x, cand_y = _permutations(x, n, rng_x), _permutations(y, n, rng_y)
-    jobs = [(x, y, cand_x[a:b], cand_y[a:b], cfg, qs) for a, b in _row_blocks(n, x.size)]
+    jobs = ((x, y, _permutations(x, b - a, rng_x), _permutations(y, b - a, rng_y), cfg, qs)
+            for a, b in _row_blocks(n, x.size))
     return np.concatenate(list(_run_jobs(_surrogate_block, jobs)))
 
 

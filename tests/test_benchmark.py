@@ -298,6 +298,12 @@ def _finish_time(delay, value):
     return value, time.monotonic()
 
 
+def _fail_on(value, bad):
+    if value == bad:
+        raise ValueError(f"job {value} failed")
+    return value
+
+
 class TestWorkerPool:
     @pytest.mark.parametrize("points", [None, 1500])
     @pytest.mark.parametrize("cfg", [SMALL, NEG_Q], ids=["small", "neg_q"])
@@ -347,7 +353,31 @@ class TestWorkerPool:
 
     def test_results_in_job_order_when_a_later_job_finishes_first(self, monkeypatch):
         monkeypatch.setattr(bench_mod, "_cpu_count", lambda: 2)
-        jobs = [(0.5, "first"), (0.0, "second")]
+        jobs = iter([(0.5, "first"), (0.0, "second")])
         (first, first_done), (second, second_done) = bench_mod._run_jobs(_finish_time, jobs)
         assert (first, second) == ("first", "second")
         assert second_done < first_done
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_at_most_workers_plus_one_jobs_taken_ahead(self, monkeypatch, cpus):
+        monkeypatch.setattr(bench_mod, "_cpu_count", lambda: cpus)
+        taken, got, ahead = [], [], []
+
+        def jobs():
+            for i in range(12):
+                taken.append(i)
+                ahead.append(len(taken) - len(got))  # taken but not yet yielded
+                yield 0.0, i
+
+        for value, _ in bench_mod._run_jobs(_finish_time, jobs()):
+            got.append(value)
+        assert got == list(range(12))
+        assert max(ahead) == (1 if cpus == 1 else cpus + 1)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failed_job_raises_and_leaves_later_jobs_untaken(self, monkeypatch, cpus):
+        monkeypatch.setattr(bench_mod, "_cpu_count", lambda: cpus)
+        jobs = ((i, 2) for i in range(20))
+        with pytest.raises(ValueError, match="job 2 failed"):
+            list(bench_mod._run_jobs(_fail_on, jobs))
+        assert next(jobs, None) is not None

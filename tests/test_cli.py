@@ -338,8 +338,10 @@ class TestSurrogateCommand:
         assert manifest["config"]["n_failed"] == 0
 
     def test_one_ensemble_per_series_for_every_q(self, price_files, tmp_path, monkeypatch):
-        # the initial rows of each ensemble are drawn once, in this process;
-        # the IAAFT iteration then runs once per row (seen here on one CPU)
+        # the initial rows of each ensemble are drawn once, in this process,
+        # block by block (399 returns x 100 surrogates: two blocks of 50, x's
+        # rows, then y's); the IAAFT iteration then runs once per row (seen
+        # here on one CPU)
         draws, iterated = [], []
         permutations, iaaft_rows = surrogate._permutations, surrogate._iaaft_rows
 
@@ -359,7 +361,7 @@ class TestSurrogateCommand:
         rc = main(["test", str(xp), str(yp), "--column", "close", "--scales", "10,20",
                    "--q", "2", "--q", "4", "--surrogates", "100", "--out-dir", str(out)])
         assert rc == 0
-        assert draws == [100, 100]
+        assert draws == [50, 50, 50, 50]
         assert sum(iterated) == 200
         rows = (out / "surrogate_test.csv").read_text().splitlines()[2:]
         assert [r.split(",")[:2] for r in rows] == [

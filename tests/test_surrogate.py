@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -296,6 +298,25 @@ def assert_same_reports(got, want):
         assert a.surrogate_values.tobytes() == b.surrogate_values.tobytes()
 
 
+def record_blocks(monkeypatch) -> list:
+    """Make surrogate's _run_jobs record, per call, its job function and the
+    x rows of each job as the job is taken."""
+    calls, run_jobs = [], benchmark._run_jobs
+
+    def record(fn, jobs):
+        sizes = []
+        calls.append((fn, sizes))
+
+        def counted():
+            for job in jobs:
+                sizes.append(len(job[2]))  # the rows of x's initial block
+                yield job
+        return run_jobs(fn, counted())
+
+    monkeypatch.setattr(surrogate, "_run_jobs", record)
+    return calls
+
+
 class TestSurrogateBlocks:
     cfg = DetrendConfig(scale_grid=(10, 20, 50), q=2.0)
     qs = (2.0, 4.0, -2.0)
@@ -321,18 +342,38 @@ class TestSurrogateBlocks:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_rows_go_through_in_blocks(self, monkeypatch, pair, cpus):
-        sizes = []
-        run_jobs = benchmark._run_jobs
-
-        def record(fn, jobs):
-            sizes.extend(len(job[2]) for job in jobs)  # the rows of x's initial block
-            return run_jobs(fn, jobs)
-
-        monkeypatch.setattr(surrogate, "_run_jobs", record)
+        calls = record_blocks(monkeypatch)
         monkeypatch.setattr(benchmark, "_cpu_count", lambda: cpus)
         surrogate_test(pair, self.cfg, n_surrogates=130, seed=self.seed)
         assert benchmark.BLOCK_POINTS // len(pair) == 54  # rows a block may hold
-        assert sizes == [43, 43, 44]  # ceil(130 / 54) = 3 blocks, as even as possible
+        # ceil(130 / 54) = 3 blocks, as even as possible
+        assert calls == [(surrogate._surrogate_block, [43, 43, 44])]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_parent_memory_flat_in_the_surrogate_count(self, monkeypatch, cpus):
+        # at the paper's length a block is one row, and each block's rows are
+        # drawn as its job is taken, so the parent holds the rows of _run_jobs'
+        # window, not of the whole ensemble (40 more pairs would be 80 rows)
+        n = 35_608
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        cfg = DetrendConfig(scale_grid=(10, 20), q=2.0)
+        monkeypatch.setattr(surrogate, "_iaaft_rows", lambda x, cand: cand)
+        monkeypatch.setattr(benchmark, "_cpu_count", lambda: cpus)
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                surrogate._score_new_pairs(x, y, count, np.random.default_rng(0),
+                                           np.random.default_rng(1), cfg, (2.0,))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert benchmark._row_blocks(60, n) == [(i, i + 1) for i in range(60)]
+        peak(2)  # imports the worker pool's modules before anything is traced
+        row = x.nbytes
+        assert peak(60) - peak(20) < 4 * row
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_degenerate_row_regenerated_with_the_same_draws(self, monkeypatch, pair, want,
@@ -360,14 +401,7 @@ class TestSurrogateBlocks:
         # goes through the same block runner as the ensemble
         sx = _iaaft_ensemble(pair.x.values, 100, _series_rng(self.seed, pair.x.values))
         mark_degenerate(monkeypatch, sx[[37, 61], 0])
-        calls = []
-        run_jobs = benchmark._run_jobs
-
-        def record(fn, jobs):
-            calls.append((fn, [len(job[2]) for job in jobs]))
-            return run_jobs(fn, jobs)
-
-        monkeypatch.setattr(surrogate, "_run_jobs", record)
+        calls = record_blocks(monkeypatch)
         monkeypatch.setattr(benchmark, "_cpu_count", lambda: 1)
         reports = surrogate_test(pair, self.cfg, n_surrogates=100, seed=self.seed, qs=self.qs)
         assert reports[0].n_failed == 0
