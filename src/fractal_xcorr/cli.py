@@ -50,9 +50,10 @@ def _parse_scales(text: str) -> tuple:
     if text.startswith("log:"):
         try:
             _, lo, hi, num = text.split(":")
-            return log_scales(int(lo), int(hi), int(num))
+            lo, hi, num = int(lo), int(hi), int(num)
         except ValueError:
             raise InputError(f"bad scale spec {text!r}; expected log:LO:HI:NUM") from None
+        return log_scales(lo, hi, num)
     try:
         return tuple(sorted({int(t) for t in text.split(",")}))
     except ValueError:
@@ -177,7 +178,7 @@ def _add_io_args(p, pair=True):
 def _add_common_args(p, scales=True):
     p.add_argument("--theta", type=float, default=0.5, help="moving-average position (default 0.5)")
     p.add_argument("--q", type=float, action="append", default=None,
-                   help="fluctuation order, repeatable (default 2 and 4)")
+                   help="fluctuation order, repeatable, each order once (default 2 and 4)")
     if scales:
         p.add_argument("--scales", default=None,
                        help=f"comma list or log:LO:HI:NUM (default {DEFAULT_SCALES}, "
@@ -380,15 +381,10 @@ def cmd_test(args, argv) -> int:
 def cmd_portfolio(args, argv) -> int:
     pair, cfg, qs, config = _pair_run(args)
     metrics = portfolio_scan(pair, cfg, qs=qs)
-    # Table layout: one row per (q, measure), scales across the columns.
-    scales = sorted({m.scale for m in metrics})
-    rows = []
-    for q in sorted({m.q for m in metrics}):
-        per_scale = {m.scale: m for m in metrics if m.q == q}
-        rows.append({"q": q, "measure": "w_g",
-                     **{f"s{s}": round(per_scale[s].w_g, 4) for s in scales}})
-        rows.append({"q": q, "measure": "beta",
-                     **{f"s{s}": round(per_scale[s].beta, 4) for s in scales}})
+    # Table layout: one row per (q, measure) in the run's order, scales across the columns.
+    rows = [{"q": q, "measure": measure,
+             **{f"s{m.scale}": round(getattr(m, measure), 4) for m in metrics if m.q == q}}
+            for q in qs for measure in ("w_g", "beta")]
     _save(args, argv, config, inputs=("x_csv", "y_csv"),
           tables=[("portfolio.csv", list(rows[0].keys()), rows)],
           json_name="portfolio.json", results=[m.to_dict() for m in metrics])

@@ -60,14 +60,16 @@ class DetrendConfig:
 
 
 def check_orders(qs) -> tuple:
-    """qs as a tuple; an InputError if it is empty or holds a zero or
-    non-finite order."""
+    """qs as a tuple; an InputError if it is empty, holds a zero or
+    non-finite order, or gives an order twice."""
     qs = tuple(qs)
     if not qs:
         raise InputError("empty list of fluctuation orders")
-    for q in qs:
+    for i, q in enumerate(qs):
         if q == 0 or not math.isfinite(q):
             raise InputError(f"fluctuation orders: q={q} must be finite and nonzero")
+        if q in qs[:i]:
+            raise InputError(f"fluctuation orders: q={q} given twice")
     return qs
 
 
@@ -224,14 +226,14 @@ def _dcca_segment_stats(px: np.ndarray, py: np.ndarray, s: int):
     return _segment_moments(_detrend(px), _detrend(py))
 
 
-def _q_moments(fx: np.ndarray, fy: np.ndarray, cross: np.ndarray, qs) -> tuple:
+def aggregate_q(fx: np.ndarray, fy: np.ndarray, cross: np.ndarray, qs) -> tuple:
     """(F_x^q, F_y^q, F_xy^q, kept) of every row and order: per-segment
     statistics of shape (..., n_seg) give four arrays of shape (..., len(qs)).
 
     F_xy^q averages the sign-carrying power sign(cross) |cross|^(q/2).  At
     q < 0 a segment where either RMS vanishes is skipped: it adds zero to
     the sums and is left out of kept, the number of segments averaged over
-    (NaN means where kept is 0).
+    (NaN means where kept is 0).  Each row gets the same bits as on its own.
     """
     f_x_q, f_y_q, f_xy_q, kept = np.empty((4,) + fx.shape[:-1] + (len(qs),))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -249,25 +251,15 @@ def _q_moments(fx: np.ndarray, fy: np.ndarray, cross: np.ndarray, qs) -> tuple:
     return f_x_q, f_y_q, f_xy_q, kept
 
 
-def aggregate_q(scale: int, q: float, fx: np.ndarray, fy: np.ndarray,
-                cross: np.ndarray) -> FluctuationSet:
-    """Order-q aggregation of the per-segment statistics of one row."""
-    f_x_q, f_y_q, f_xy_q, kept = (v[0].item() for v in _q_moments(fx, fy, cross, (q,)))
-    if kept < 1:
-        raise DegenerateFluctuationError(f"scale {scale}: every segment degenerate at q={q}")
-    return FluctuationSet(scale=scale, q=q, f_x_q=f_x_q, f_y_q=f_y_q, f_xy_q=f_xy_q,
-                          n_segments=int(kept), n_skipped=fx.size - int(kept))
-
-
 def rho_q_rows(fx: np.ndarray, fy: np.ndarray, cross: np.ndarray, qs) -> np.ndarray:
     """Capped coefficient of every row and order at once: per-segment
     statistics of shape (..., n_seg) give shape (..., len(qs)).
 
-    Row by row this is aggregate_q followed by rho_q_dmca, to the same
-    bits.  NaN marks a cell where those raise (F_x^q F_y^q <= 0, or no
-    segment left at q < 0) or give NaN.
+    Row by row this is rho_q_dmca of the row's FluctuationSet, to the same
+    bits.  NaN marks a cell where q_fluctuations or rho_q_dmca would raise
+    (no segment left at q < 0, or F_x^q F_y^q <= 0) or that gives NaN.
     """
-    f_x_q, f_y_q, f_xy_q, _ = _q_moments(fx, fy, cross, qs)
+    f_x_q, f_y_q, f_xy_q, _ = aggregate_q(fx, fy, cross, qs)
     with np.errstate(divide="ignore", invalid="ignore"):
         denom = f_x_q * f_y_q
         raw = f_xy_q / np.sqrt(np.where(denom > 0.0, denom, np.nan))
@@ -284,9 +276,13 @@ def q_fluctuations(pair: AlignedPair, cfg: DetrendConfig, method: str = "q-DMCA"
     py = px if pair.y is pair.x else np.cumsum(pair.y.values)
     out = []
     for s in cfg.scale_grid:
-        stats = (_dma_segment_stats(px, py, s, cfg.theta) if method == "q-DMCA"
-                 else _dcca_segment_stats(px, py, s))
-        out.append(aggregate_q(s, cfg.q, *stats))
+        fx, fy, cross = (_dma_segment_stats(px, py, s, cfg.theta) if method == "q-DMCA"
+                         else _dcca_segment_stats(px, py, s))
+        f_x_q, f_y_q, f_xy_q, kept = (v.item() for v in aggregate_q(fx, fy, cross, (cfg.q,)))
+        if kept < 1:
+            raise DegenerateFluctuationError(f"scale {s}: every segment degenerate at q={cfg.q}")
+        out.append(FluctuationSet(scale=s, q=cfg.q, f_x_q=f_x_q, f_y_q=f_y_q, f_xy_q=f_xy_q,
+                                  n_segments=int(kept), n_skipped=fx.size - int(kept)))
     return out
 
 

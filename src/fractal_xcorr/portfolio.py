@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 
 from .errors import DegenerateFluctuationError
-from .fluctuation import DEFAULT_QS, DetrendConfig, FluctuationSet, q_fluctuations
+from .fluctuation import DEFAULT_QS, DetrendConfig, FluctuationSet, check_orders, q_fluctuations
 from .series import AlignedPair
 
 
@@ -64,7 +64,7 @@ def portfolio_scan(pair: AlignedPair, cfg: DetrendConfig, qs=DEFAULT_QS) -> list
     Uses the moving-average (q-DMCA) fluctuation functions throughout.
     """
     out = []
-    for q in qs:
+    for q in check_orders(qs):
         for fs in q_fluctuations(pair, replace(cfg, q=q)):
             raw, w = optimal_weight(fs)
             out.append(PortfolioMetrics(scale=fs.scale, q=q, w_g=w,

@@ -34,9 +34,13 @@ class CoherencyEstimate:
 
 
 def log_scales(lo: int, hi: int, num: int = DEFAULT_GRID_POINTS) -> tuple:
-    """num log-spaced integers in [lo, hi], deduplicated after rounding."""
+    """num log-spaced integers in [lo, hi], deduplicated after rounding; the
+    grid is spaced in float64, which is exact for integers up to 2**53."""
     if hi < lo:
         raise InputError(f"empty scale range [{lo}, {hi}]")
+    if lo < 1 or hi > 2**53 or num < 1:
+        raise InputError(f"scale range [{lo}, {hi}] with {num} points: "
+                         "needs 1 <= lo <= hi <= 2**53 and num >= 1")
     grid = np.unique(
         np.clip(np.round(np.geomspace(lo, hi, num=num)).astype(int), lo, hi)
     )

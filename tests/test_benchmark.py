@@ -9,14 +9,10 @@ from fractal_xcorr import BenchmarkConfig, InputError, run_benchmark, stability_
 from fractal_xcorr import benchmark as bench_mod
 from fractal_xcorr.benchmark import _cell_seed
 from fractal_xcorr.errors import DegenerateFluctuationError
-from fractal_xcorr.fluctuation import (
-    _dcca_segment_stats,
-    _dma_segment_stats,
-    aggregate_q,
-    rho_q_dmca,
-)
+from fractal_xcorr.fluctuation import _dcca_segment_stats, _dma_segment_stats
 from fractal_xcorr.mc_arfima import McArfimaSpec
 from fractal_xcorr.scaling import log_scales
+from conftest import one_row_rho
 
 
 SMALL = BenchmarkConfig(
@@ -123,7 +119,7 @@ def _reference_h_rho(stats, scales, q):
     points = []
     for s in scales:
         try:
-            rho, _ = rho_q_dmca(aggregate_q(s, q, *stats[s]))
+            rho, _ = one_row_rho(s, q, *stats[s])
         except DegenerateFluctuationError:
             return None
         if rho == 0.0 or rho**2 <= 0.0:
@@ -271,6 +267,10 @@ class TestBatchedReplications:
     def test_zero_and_non_finite_orders_rejected(self, q):
         with pytest.raises(InputError, match="finite and nonzero"):
             BenchmarkConfig(qs=(2.0, q))
+
+    def test_repeated_order_rejected(self):
+        with pytest.raises(InputError, match="^fluctuation orders: q=2 given twice$"):
+            BenchmarkConfig(qs=(2.0, 4.0, 2))
 
     @pytest.mark.parametrize("field, name", [("dcca_n_min", "n_min"), ("dmca_s_max", "s_max")])
     @pytest.mark.parametrize("value", [-1, 0, 3])

@@ -304,6 +304,73 @@ def test_zero_or_non_finite_order_exit_2(price_files, tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "test", "portfolio", "benchmark"])
+def test_repeated_order_exit_2(price_files, tmp_path, capsys, command):
+    xp, yp = price_files
+    argv = (["--reps", "10", "--lengths", "500", "--cross-corrs", "0.5", "--n-min", "10",
+             "--s-max", "20"] if command == "benchmark"
+            else [str(xp), str(yp), "--column", "close", "--scales", "10,20"])
+    out = tmp_path / "out"
+    rc = main([command, *argv, "--q=2", "--q=4", "--q=2.0", "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: fluctuation orders: q=2.0 given twice\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--scales", "4,x"], "bad scale list '4,x'"),
+    (["--scales", "log:4:15"], "bad scale spec 'log:4:15'; expected log:LO:HI:NUM"),
+    (["--scales", "log:20:10:5"], "empty scale range [20, 10]"),
+    (["--scales", "log:0:15:3"],
+     "scale range [0, 15] with 3 points: needs 1 <= lo <= hi <= 2**53 and num >= 1"),
+    (["--scales", "log:20:99999999999999999999999:5"],
+     "scale range [20, 99999999999999999999999] with 5 points: "
+     "needs 1 <= lo <= hi <= 2**53 and num >= 1"),
+    (["--scales", "log:20:9223372036854775807:5"],
+     "scale range [20, 9223372036854775807] with 5 points: "
+     "needs 1 <= lo <= hi <= 2**53 and num >= 1"),
+    (["--scales", "log:20:18446744073709551615:5"],
+     "scale range [20, 18446744073709551615] with 5 points: "
+     "needs 1 <= lo <= hi <= 2**53 and num >= 1"),
+])
+@pytest.mark.parametrize("command", ["analyze", "test", "portfolio"])
+def test_bad_scale_spec_exit_2(price_files, tmp_path, capsys, command, argv, message):
+    xp, yp = price_files
+    out = tmp_path / "out"
+    rc = main([command, str(xp), str(yp), "--column", "close", *argv, "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, scale_range", [
+    ("--s-max", "[10, 99999999999999999999999]"),  # DMCA fits 10 .. s_max
+    ("--lengths", "[10, 19999999999999999999999]"),  # DCCA fits n_min .. N/5
+])
+def test_benchmark_scale_range_beyond_exact_integers_exit_2(tmp_path, capsys, flag,
+                                                            scale_range):
+    out = tmp_path / "out"
+    rc = main(["benchmark", "--reps", "10", flag, "99999999999999999999999",
+               "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: scale range {scale_range} with 20 points: "
+        "needs 1 <= lo <= hi <= 2**53 and num >= 1\n")
+    assert not out.exists()
+
+
+def test_default_grid_above_a_short_series_exit_2(tmp_path, capsys):
+    # the default grid starts at 20, above N/4 for fewer than 80 returns
+    xp = tmp_path / "x.csv"
+    returns = 0.01 * np.random.default_rng(3).standard_normal(64)
+    write_prices(xp, 100.0 * np.exp(np.cumsum(returns)))
+    out = tmp_path / "out"
+    rc = main(["analyze", str(xp), str(xp), "--column", "close", "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: no admissible scale below N/4 = 15 for N=63\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["test", "--q", "nan", "--surrogates", "100"],
     ["analyze", "--q=-inf"],
@@ -428,6 +495,26 @@ class TestPortfolioCommand:
         assert lines[1] == "q,measure,s10,s20,s40"
         payload = json.loads((out / "portfolio.json").read_text())
         assert all(0.0 <= r["w_g"] <= 1.0 for r in payload["results"])
+
+    def test_tables_follow_the_order_of_q(self, price_files, tmp_path, capsys):
+        xp, yp = price_files
+        runs = {}
+        for orders in (("4", "2"), ("2", "4")):
+            out = tmp_path / "".join(orders)
+            assert main(["portfolio", str(xp), str(yp), "--column", "close", "--scales", "10,20",
+                         *(f"--q={q}" for q in orders), "--out-dir", str(out)]) == 0
+            lines = (out / "portfolio.csv").read_text().splitlines()[2:]
+            results = json.loads((out / "portfolio.json").read_text())["results"]
+            runs[orders] = lines, results, capsys.readouterr().out.splitlines()
+        lines, results, stdout = runs[("4", "2")]
+        assert [ln.split(",")[:2] for ln in lines] == [
+            ["4.0", "w_g"], ["4.0", "beta"], ["2.0", "w_g"], ["2.0", "beta"]]
+        assert [r["q"] for r in results] == [4.0, 4.0, 2.0, 2.0]
+        assert [ln.split()[0] for ln in stdout] == ["q=4", "q=4", "q=2", "q=2"]
+        # the same rows as a run in the default order, reordered
+        other_lines, other_results, _ = runs[("2", "4")]
+        assert lines == other_lines[2:] + other_lines[:2]
+        assert results == other_results[2:] + other_results[:2]
 
 
 class TestDescribeCommand:
@@ -816,7 +903,8 @@ ARG_VALUES = {
     "--theta": (["0.5", "0", "1"], ["nan", "-1", "x"]),
     "--q": (["2", "-2", "4"], ["0", "nan", "inf"]),
     "--scales": (["4,8", "4,8,15", "log:4:15:3"],
-                 ["log:4:15", "log:0:15:3", "log:a:b:c", "0", "-1", "1000", "4,x"]),
+                 ["log:4:15", "log:0:15:3", "log:a:b:c", "log:20:99999999999999999999999:5",
+                  "0", "-1", "1000", "4,x"]),
     "--seed": (["0", "7"], ["-1", "nan"]),
     "--method": (["q-DMCA", "q-DCCA"], ["DMCA"]),
     "--surrogates": (["100"], ["5", "0", "-1", "nan"]),
@@ -827,10 +915,10 @@ ARG_VALUES = {
     "--length": (["64"], ["0", "-1", "nan"]),
     "--truncation": (["100"], ["0", "-1"]),
     "--reps": (["10"], ["2", "0", "-1", "nan"]),
-    "--lengths": (["64", "64,80"], ["0", "-1", "x"]),
+    "--lengths": (["64", "64,80"], ["0", "-1", "x", "99999999999999999999999"]),
     "--cross-corrs": (["0.5", "0.1,0.9"], ["2", "nan", "x"]),
     "--n-min": (["4", "4,8"], ["0", "-1", "x"]),
-    "--s-max": (["16"], ["8", "0", "-1", "x"]),
+    "--s-max": (["16"], ["8", "0", "-1", "x", "99999999999999999999999"]),
 }
 # Flags always given: their defaults make a run seconds long, or (--scales)
 # start above N/4 of the 64-row inputs, so every run would stop there.

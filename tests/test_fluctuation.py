@@ -18,12 +18,12 @@ from fractal_xcorr.fluctuation import (
     FluctuationSet,
     _dcca_segment_stats,
     _dma_segment_stats,
-    aggregate_q,
+    check_orders,
     n_segments,
     rho_q_rows,
 )
 from fractal_xcorr.mc_arfima import McArfimaSpec, generate
-from conftest import gaussian_pair
+from conftest import gaussian_pair, one_row_rho
 from oracle_naive import naive_residual, rho_dmca_classic
 
 
@@ -257,6 +257,17 @@ class TestNegativeQ:
         assert fs.n_segments + fs.n_skipped == 200 // 5 - 1
         assert np.isfinite(fs.f_x_q)
 
+    def test_every_segment_skipped_raises(self):
+        # a zero series has a zero residual, so every segment is skipped
+        pair = AlignedPair(TimeSeries(np.zeros(200)), gaussian_pair(5, 200).y)
+        with pytest.raises(DegenerateFluctuationError,
+                           match=r"^scale 5: every segment degenerate at q=-2.0$"):
+            q_fluctuations(pair, DetrendConfig(scale_grid=(5, 10), q=-2.0))
+        fs = q_fluctuations(pair, DetrendConfig(scale_grid=(5,), q=2.0))[0]
+        assert (fs.f_x_q, fs.f_xy_q, fs.n_segments, fs.n_skipped) == (0.0, 0.0, 39, 0)
+        assert all(type(v) is float for v in (fs.f_x_q, fs.f_y_q, fs.f_xy_q))
+        assert type(fs.n_segments) is int and type(fs.n_skipped) is int
+
     @pytest.mark.parametrize("q", [-1.0, -2.0, -4.0])
     def test_skipped_segments_match_the_oracle(self, q):
         # the oracle's segments with both RMS values nonzero, averaged at order q
@@ -408,7 +419,7 @@ class TestRhoQRows:
     @staticmethod
     def _scalar(fx, fy, cross, q):
         try:
-            return rho_q_dmca(aggregate_q(10, q, fx, fy, cross))[0]
+            return one_row_rho(10, q, fx, fy, cross)[0]
         except DegenerateFluctuationError:
             return np.nan
 
@@ -449,7 +460,7 @@ class TestRhoQRows:
         for i in range(fx.shape[0]):
             for k, q in enumerate(qs):
                 try:
-                    want = rho_q_dmca(aggregate_q(10, q, fx[i], fy[i], cross[i]))[0]
+                    want = one_row_rho(10, q, fx[i], fy[i], cross[i])[0]
                 except DegenerateFluctuationError:
                     assert np.isnan(got[i, k]), (i, q)
                 else:  # NaN where a zero cross product meets q < 0
@@ -470,6 +481,15 @@ class TestNonFiniteConfig:
     def test_order_rejected(self, q):
         with pytest.raises(InputError, match="finite and nonzero"):
             DetrendConfig(scale_grid=(10, 20), q=q)
+
+    @pytest.mark.parametrize("qs, message", [
+        ((2.0, 4.0, 2.0), "q=2.0 given twice"),
+        ((2, 2.0), "q=2.0 given twice"),
+        ((-2.0, 4.0, -2.0, 4.0), "q=-2.0 given twice"),
+    ])
+    def test_repeated_order_rejected(self, qs, message):
+        with pytest.raises(InputError, match=f"^fluctuation orders: {message}$"):
+            check_orders(qs)
 
     @pytest.mark.parametrize("theta", [float("nan"), float("inf")])
     def test_theta_rejected(self, theta):

@@ -5,6 +5,7 @@ from fractal_xcorr import (
     AlignedPair,
     DegenerateFluctuationError,
     DetrendConfig,
+    InputError,
     TimeSeries,
     hedge_ratio,
     optimal_weight,
@@ -110,6 +111,15 @@ class TestPortfolioScan:
         cfg = DetrendConfig(scale_grid=(10, 20, 50), q=2.0)
         for m in portfolio_scan(pair, cfg, qs=(2.0,)):
             assert m.w_g > 0.85  # weight of the calm x leg
+
+    @pytest.mark.parametrize("qs, message", [
+        ((2.0, 4.0, 2.0), "q=2.0 given twice"),
+        ((2.0, 0.0), "q=0.0 must be finite and nonzero"),
+        ((), "empty list of fluctuation orders"),
+    ])
+    def test_bad_orders_rejected(self, pair_1000, qs, message):
+        with pytest.raises(InputError, match=message):
+            portfolio_scan(pair_1000, DetrendConfig(scale_grid=(10, 25)), qs=qs)
 
     def test_grid_and_orders(self, pair_1000):
         cfg = DetrendConfig(scale_grid=(10, 25, 50), q=2.0)

@@ -29,8 +29,27 @@ class TestLogScales:
         assert grid == tuple(range(10, 21))
 
     def test_bad_range(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^empty scale range \[50, 10\]$"):
             log_scales(50, 10)
+
+    def test_largest_exact_end(self):
+        grid = log_scales(20, 2**53, 5)
+        assert grid[0] == 20 and grid[-1] == 2**53
+        assert all(type(s) is int for s in grid)
+
+    @pytest.mark.parametrize("lo, hi, num", [
+        (20, 2**53 + 1, 5),
+        (20, 2**63 - 1, 5),  # once cast past int64, which put lo in place of hi
+        (20, 2**64 - 1, 5),
+        (20, 10**23, 5),  # once a TypeError inside np.geomspace
+        (0, 15, 3),
+        (-3, 15, 3),
+        (4, 15, 0),
+        (4, 15, -1),
+    ])
+    def test_range_outside_exact_integers_rejected(self, lo, hi, num):
+        with pytest.raises(InputError, match=fr"^scale range \[{lo}, {hi}\] with {num} points: "):
+            log_scales(lo, hi, num)
 
 
 class TestFitPowerLaw:

@@ -20,6 +20,11 @@ def test_timeseries_rejects_non_finite():
         TimeSeries([np.inf, 1.0], label="b")
 
 
+def test_timeseries_rejects_two_dimensional_values():
+    with pytest.raises(InputError, match=r"^series 'a': values must be one-dimensional$"):
+        TimeSeries(np.ones((2, 5)), label="a")
+
+
 def test_aligned_pair_validation():
     x = TimeSeries(np.zeros(30), label="x")
     with pytest.raises(InputError, match="align"):
@@ -62,6 +67,8 @@ def test_log_returns():
         log_returns(TimeSeries([1.0, 0.0, 2.0]))
     with pytest.raises(InputError, match="index 0"):
         log_returns(TimeSeries([-1.0, 2.0]))
+    with pytest.raises(InputError, match=r"^series 'p': need at least 2 prices$"):
+        log_returns(TimeSeries([100.0], label="p"))
 
 
 def test_describe_moments():

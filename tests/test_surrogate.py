@@ -14,10 +14,10 @@ from fractal_xcorr import (
 )
 from fractal_xcorr import benchmark, surrogate
 from fractal_xcorr.errors import DegenerateFluctuationError
-from fractal_xcorr.fluctuation import _dma_segment_stats, aggregate_q, rho_q_dmca
+from fractal_xcorr.fluctuation import _dma_segment_stats
 from fractal_xcorr.mc_arfima import McArfimaSpec, generate
 from fractal_xcorr.surrogate import SurrogateTestReport, _iaaft_ensemble, _series_rng, stars
-from conftest import gaussian_pair, mark_degenerate
+from conftest import gaussian_pair, mark_degenerate, one_row_rho
 
 
 def arfima_series(seed, n=1024):
@@ -76,6 +76,26 @@ class TestIaaftPhaseStep:
         assert sorted(set(active)) == [1, 2, 3, 4, 5, 6]
         want = iaaft_reference(x, 6, np.random.default_rng(5))
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_rows_leave_at_the_iteration_cap(self, monkeypatch, cap):
+        # no row converges within 3 iterations, so every row leaves the loop
+        # through the cap, with the values of the last rank remap
+        monkeypatch.setattr(surrogate, "IAAFT_MAX_ITERATIONS", cap)
+        x = np.random.default_rng(9).standard_t(3, 500)
+        active, irfft = [], np.fft.irfft
+
+        def record(spec, *args, **kwargs):
+            active.append(spec.shape[0])
+            return irfft(spec, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", record)
+        got = surrogate._iaaft_rows(x, surrogate._permutations(x, 8, np.random.default_rng(9)))
+        assert active == [8] * cap
+        monkeypatch.setattr(np.fft, "irfft", irfft)
+        want = iaaft_reference(x, 8, np.random.default_rng(9))
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.sort(got, axis=1), np.broadcast_to(np.sort(x), got.shape))
 
     def test_zero_dc_bin(self):
         # integers summing to exactly zero: the DC bin of every candidate is 0
@@ -182,14 +202,14 @@ class TestSurrogateTest:
 
     @staticmethod
     def _rho_all_scales_reference(px, py, cfg, qs):
-        """One aggregate_q and rho_q_dmca call per (q, scale) cell, NaN
+        """A one-row aggregate_q call and rho_q_dmca per (q, scale) cell, NaN
         where they raise."""
         rhos = np.empty((len(qs), len(cfg.scale_grid)))
         for j, s in enumerate(cfg.scale_grid):
             stats = _dma_segment_stats(px, py, s, cfg.theta)
             for i, q in enumerate(qs):
                 try:
-                    rhos[i, j], _ = rho_q_dmca(aggregate_q(s, q, *stats))
+                    rhos[i, j], _ = one_row_rho(s, q, *stats)
                 except DegenerateFluctuationError:
                     rhos[i, j] = np.nan
         return rhos
@@ -228,6 +248,13 @@ class TestSurrogateTest:
         with pytest.raises(DegenerateFluctuationError, match="all 100 surrogate pairs"):
             surrogate_test(gaussian_pair(1, 600), self.cfg, n_surrogates=100)
 
+    def test_degenerate_observed_pair_raises(self):
+        # a zero series has zero residuals: F_x^q = 0 in every observed cell
+        pair = AlignedPair(TimeSeries(np.zeros(600)), gaussian_pair(1, 600).y)
+        with pytest.raises(DegenerateFluctuationError,
+                           match="^degenerate fluctuation in the observed pair$"):
+            surrogate_test(pair, self.cfg, n_surrogates=100)
+
     def test_preconditions(self):
         pair = gaussian_pair(0, 600)
         with pytest.raises(InputError, match="n_surrogates"):
@@ -245,6 +272,7 @@ class TestSurrogateTest:
         ((2.0, 0), "q=0 must be finite and nonzero"),
         ((float("nan"),), "q=nan must be finite and nonzero"),
         ((2.0, float("-inf")), "q=-inf must be finite and nonzero"),
+        ((2.0, 4.0, 2.0), "q=2.0 given twice"),
     ])
     def test_bad_orders_rejected(self, qs, message):
         with pytest.raises(InputError, match=message):
