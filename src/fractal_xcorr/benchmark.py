@@ -134,24 +134,6 @@ def _check_cell(cfg: BenchmarkConfig, length: int, cross_corr: float, grids) -> 
         _check_dma_scale(length, s, cfg.theta)
 
 
-def benchmark_cells(cfg: BenchmarkConfig) -> list:
-    """(length, cross_corr, grids) for every cell of the config grid, in
-    report order, where grids maps method -> {param: fit scales}.
-
-    Raises the InputError that run_benchmark would raise for the grid, so a
-    config can be checked before anything is written or generated.
-    """
-    cells = []
-    for length in cfg.lengths:
-        dcca_hi = length // DCCA_FIT_HI_DIVISOR
-        grids = {"DMCA": {p: log_scales(DMCA_FIT_S_LO, p) for p in cfg.dmca_s_max},
-                 "DCCA": {p: log_scales(p, dcca_hi) for p in cfg.dcca_n_min if p < dcca_hi}}
-        for rho in cfg.cross_corrs:
-            _check_cell(cfg, length, rho, grids)
-            cells.append((length, rho, grids))
-    return cells
-
-
 def _replicate(cfg: BenchmarkConfig, length: int, cross_corr: float, grids,
                first: int, stop: int) -> dict:
     """_estimate_all on the profiles of replications first .. stop-1 of one
@@ -220,39 +202,52 @@ def _row_blocks(n_rows: int, length: int) -> list:
 
 
 def _cell_estimates(cfg: BenchmarkConfig, cells):
-    """(length, cross_corr, ests) for each cell (length, cross_corr, grids),
-    in order; ests maps every key with a non-degenerate estimate to those
-    estimates.
+    """(length, cross_corr, ests) for each cell (length, cross_corr, grids)
+    of the iterable cells, in order; ests maps every key (method, q, param)
+    with a non-degenerate estimate to those estimates, by method, then q as
+    in cfg.qs, then param.
 
-    A cell's replications go through in _row_blocks; each block is one job,
-    and the jobs of every cell run together.
+    Every cell is checked here, in order, before any job is built, so a grid
+    that cannot run raises before any replication is generated.  A cell's
+    replications go through in _row_blocks, one job per block, and the jobs
+    of every cell run together.
     """
-    jobs, n_blocks = [], []
+    plan = []
     for length, rho, grids in cells:
-        blocks = _row_blocks(cfg.replications, length)
-        jobs.extend((cfg, length, rho, grids, first, stop) for first, stop in blocks)
-        n_blocks.append(len(blocks))
-    results = _run_jobs(_replicate, jobs)
-    for (length, rho, _), n in zip(cells, n_blocks):
-        blocks = [next(results) for _ in range(n)]
+        _check_cell(cfg, length, rho, grids)
+        plan.append((length, rho, grids, _row_blocks(cfg.replications, length)))
+    results = _run_jobs(_replicate, ((cfg, length, rho, grids, first, stop)
+                                     for length, rho, grids, blocks in plan
+                                     for first, stop in blocks))
+    for length, rho, _, blocks in plan:
+        parts = [next(results) for _ in blocks]
         out = {}
-        for key in sorted(blocks[0]):
-            ests = np.concatenate([b[key] for b in blocks])
+        for key in sorted(parts[0], key=lambda k: (k[0], cfg.qs.index(k[1]), k[2])):
+            ests = np.concatenate([p[key] for p in parts])
             if not np.isnan(ests).all():
                 out[key] = ests[~np.isnan(ests)]
         yield length, rho, out
 
 
 def run_benchmark(cfg: BenchmarkConfig, progress=None) -> list:
-    """Bias/SD/MSE reports for the full config grid.
+    """Bias/SD/MSE reports for the full config grid, by length, then
+    innovation correlation, then in _cell_estimates' order (method, q as in
+    cfg.qs, fit-range parameter); _cell_estimates checks every cell before
+    any replication is generated.
 
     Degenerate replications are excluded from a cell's statistics with
     n_effective recording how many completed.  Deterministic given
     cfg.master_seed.
     """
     h_rho = McArfimaSpec().implied_h_rho
+    # lazy, so a grid is reported in grid order: a length's fit grids are
+    # built only after the cells of the lengths before it are checked
+    grids = ({"DMCA": {p: log_scales(DMCA_FIT_S_LO, p) for p in cfg.dmca_s_max},
+              "DCCA": {p: log_scales(p, hi) for p in cfg.dcca_n_min if p < hi}}
+             for hi in (length // DCCA_FIT_HI_DIVISOR for length in cfg.lengths))
+    cells = ((length, rho, g) for length, g in zip(cfg.lengths, grids) for rho in cfg.cross_corrs)
     reports = []
-    for length, rho, ests in _cell_estimates(cfg, benchmark_cells(cfg)):
+    for length, rho, ests in _cell_estimates(cfg, cells):
         for (method, q, param), vals in ests.items():
             bias = float(vals.mean() - h_rho)
             sd = float(vals.std())  # population SD across replications
@@ -275,15 +270,13 @@ def stability_sweep(lengths, cfg: BenchmarkConfig) -> list:
     The fit range is held fixed across lengths (10 .. 1000, capped at N/5)
     so that the length-dependence of the means reflects estimator quality
     rather than a moving estimand.  Uses the last configured innovation
-    correlation.  Returns records {method, q, N, mean_h_rho, n_effective}.
+    correlation.  Returns records {method, q, N, mean_h_rho, n_effective},
+    by length, then in _cell_estimates' order.
     """
     lo, hi = STABILITY_FIT_RANGE
-    rho = cfg.cross_corrs[-1]
-    cells = []
-    for length in lengths:
-        grid = log_scales(lo, min(hi, length // DCCA_FIT_HI_DIVISOR))
-        cells.append((length, rho, {"DMCA": {hi: grid}, "DCCA": {hi: grid}}))
-        _check_cell(cfg, *cells[-1])
+    cells = ((length, cfg.cross_corrs[-1], dict.fromkeys(
+        ("DMCA", "DCCA"), {hi: log_scales(lo, min(hi, length // DCCA_FIT_HI_DIVISOR))}))
+        for length in lengths)
     records = []
     for length, _, ests in _cell_estimates(cfg, cells):
         records.extend({"method": method, "q": q, "N": length, "mean_h_rho": float(vals.mean()),

@@ -60,7 +60,7 @@ class DescriptiveStats:
 
     ``kurtosis`` is the raw fourth standardized moment (not excess), and
     skewness/kurtosis use the biased 1/N standardized-moment form.  For a
-    zero-variance series the shape statistics are NaN and JB is skipped.
+    zero-variance series the shape statistics and JB are NaN.
     """
 
     min: float
@@ -224,14 +224,9 @@ def describe(r: TimeSeries) -> DescriptiveStats:
     dev = v - mean
     ss = float(np.sum(dev**2))
     m2 = ss / v.size
-    if m2 == 0.0:
-        return DescriptiveStats(
-            min=float(v.min()), max=float(v.max()), mean=mean, std_dev=0.0,
-            skewness=float("nan"), kurtosis=float("nan"),
-            jarque_bera_statistic=float("nan"), jarque_bera_p_value=float("nan"),
-        )
-    skew = float(np.mean(dev**3) / m2**1.5)
-    kurt = float(np.mean(dev**4) / m2**2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero variance: NaN shape
+        skew = float(np.mean(dev**3) / m2**1.5)
+        kurt = float(np.mean(dev**4) / m2**2)
     jb = v.size * (skew**2 / 6.0 + (kurt - 3.0) ** 2 / 24.0)
     return DescriptiveStats(
         min=float(v.min()),

@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import os
 import time
 
 import numpy as np
@@ -210,10 +211,13 @@ class TestBatchedReplications:
         for length in (500, 1000):
             grid = log_scales(10, min(1000, length // 5))
             ests = _reference_cell(cfg, length, 0.5, {"DMCA": {0: grid}, "DCCA": {0: grid}})
-            for (method, q, _), e in sorted(ests.items()):
+            for (method, q, _), e in sorted(ests.items(),
+                                            key=lambda kv: (kv[0][0], cfg.qs.index(kv[0][1]))):
                 vals = np.array([v for v in e if v is not None])
                 want.append((method, q, length, vals.mean(), vals.size))
         got = stability_sweep((500, 1000), cfg)
+        assert [(r["N"], r["method"], r["q"]) for r in got] == [  # the cfg.qs order
+            (n, m, q) for n in (500, 1000) for m in ("DCCA", "DMCA") for q in (2.0, -2.0)]
         assert [(r["method"], r["q"], r["N"], r["n_effective"]) for r in got] == [
             (m, q, n, k) for m, q, n, _, k in want]
         for r, w in zip(got, want):
@@ -305,6 +309,12 @@ def _fail_on(value, bad):
 
 
 class TestWorkerPool:
+    @pytest.mark.parametrize("reported, want", [(3, 3), (None, 1)])
+    def test_cpu_count_without_affinity(self, monkeypatch, reported, want):
+        monkeypatch.delattr(os, "sched_getaffinity")  # as on platforms that lack it
+        monkeypatch.setattr(os, "cpu_count", lambda: reported)
+        assert bench_mod._cpu_count() == want
+
     @pytest.mark.parametrize("points", [None, 1500])
     @pytest.mark.parametrize("cfg", [SMALL, NEG_Q], ids=["small", "neg_q"])
     def test_run_benchmark_same_bits_for_any_worker_count(self, monkeypatch, cfg, points):

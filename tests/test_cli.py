@@ -219,6 +219,28 @@ class TestBenchmarkCommand:
         assert table[1].startswith("N,range_param,bias_rho0.5")
         assert table[2].startswith("500,20,")
 
+    def test_orders_reported_in_the_order_given(self, tmp_path, capsys):
+        argv = ["benchmark", "--reps", "10", "--lengths", "500", "--cross-corrs", "0.5,0.9",
+                "--n-min", "10", "--s-max", "20", "--seed", "0"]
+        runs = {}
+        for qs in (("2", "4"), ("4", "2")):
+            out = tmp_path / "_".join(qs)
+            assert main([*argv, "--q", qs[0], "--q", qs[1], "--out-dir", str(out)]) == 0
+            records = json.loads((out / "benchmark.json").read_text())["results"]
+            runs[qs] = out, capsys.readouterr().out.splitlines(), records
+        (up, up_lines, up_records), (down, down_lines, down_records) = runs.values()
+        # each (cell, method) block lists q=4 before q=2, as given
+        want = [(m, q) for _ in (0.5, 0.9) for m in ("DCCA", "DMCA") for q in (4.0, 2.0)]
+        assert [(r["method"], r["q"]) for r in down_records] == want
+        assert [tuple(line.split()[:2]) for line in down_lines] == [
+            (m, f"q={q:g}") for m, q in want]
+        assert sorted(down_lines) == sorted(up_lines)
+        assert sorted(map(repr, down_records)) == sorted(map(repr, up_records))
+        for name in ("benchmark_dcca_q2.csv", "benchmark_dcca_q4.csv",
+                     "benchmark_dmca_q2.csv", "benchmark_dmca_q4.csv"):
+            assert ((down / name).read_text().splitlines()[1:]
+                    == (up / name).read_text().splitlines()[1:])
+
 
     @pytest.mark.parametrize("flag", ["--cross-corrs", "--lengths", "--n-min", "--s-max"])
     def test_non_numeric_list_exit_2(self, tmp_path, capsys, flag):

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -103,6 +106,18 @@ def test_describe_degenerate_series():
     assert np.isnan(d.jarque_bera_statistic)
     with pytest.raises(InputError, match="at least 8"):
         describe(TimeSeries(np.arange(5.0)))
+
+
+@pytest.mark.parametrize("values", [np.zeros(30), np.r_[np.zeros(20), 1e-170],
+                                    np.r_[np.zeros(10), 1e-110]],
+                         ids=["zeros", "variance_underflows", "moment_powers_underflow"])
+def test_describe_vanishing_variance_nan_shape_without_warning(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from the 0/0 moments
+        d = describe(TimeSeries(values))
+    assert d.std_dev == math.sqrt(np.sum((values - values.mean()) ** 2) / (values.size - 1))
+    assert all(np.isnan(v) for v in (d.skewness, d.kurtosis, d.jarque_bera_statistic,
+                                     d.jarque_bera_p_value))
 
 
 # -- load_csv against the previous row-by-row loader --------------------------
