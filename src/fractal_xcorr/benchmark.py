@@ -28,7 +28,7 @@ from .fluctuation import (
     _dcca_segment_stats,
     _dma_segment_stats,
     check_orders,
-    rho_q_rows,
+    rho_q_grid,
 )
 from .mc_arfima import McArfimaSpec, generate
 from .scaling import log_scales, ols_fit
@@ -99,22 +99,22 @@ def _estimate_all(px, py, cfg: BenchmarkConfig, length: int, grids):
     profiles of shape (R, N): {(method, q, param): R estimates}.
 
     grids maps method -> {param: fit scales}, at least 3 of them (see
-    _check_cell).  Segment statistics are computed once per method and scale
-    for the whole stack and shared across orders and fit ranges.  NaN marks
-    a degenerate replication: F_x^q F_y^q <= 0 or rho = 0 at a fit scale, or
-    no segment left at q < 0.
+    _check_cell).  One rho_q_grid call per method scores the whole stack on
+    the union of its fit scales; np.take gives each fit range its columns
+    C-contiguous, so the fit sums them as it would a stack of them.  NaN
+    marks a degenerate replication: F_x^q F_y^q <= 0 or rho = 0 at a fit
+    scale, or no segment left at q < 0.
     """
     qs = np.asarray(cfg.qs, dtype=float)
     out = {}
     for method, by_param in grids.items():
-        log_rho2 = {}
-        for s in sorted({s for g in by_param.values() for s in g}):
-            stats = (_dma_segment_stats(px, py, s, cfg.theta) if method == "DMCA"
-                     else _dcca_segment_stats(px, py, s))
-            rho2 = rho_q_rows(*stats, qs) ** 2
-            log_rho2[s] = np.log(np.where(rho2 > 0.0, rho2, np.nan))
-        for param, scales in by_param.items():
-            slope, _ = ols_fit(np.log(scales), np.stack([log_rho2[s] for s in scales], -1))
+        scales = sorted({s for g in by_param.values() for s in g})
+        rho2 = rho_q_grid((_dma_segment_stats(px, py, s, cfg.theta) if method == "DMCA"
+                           else _dcca_segment_stats(px, py, s) for s in scales), qs) ** 2
+        log_rho2 = np.log(np.where(rho2 > 0.0, rho2, np.nan))
+        for param, fit in by_param.items():
+            cols = np.take(log_rho2, np.searchsorted(scales, fit), axis=-1)
+            slope, _ = ols_fit(np.log(fit), cols)
             est = slope / (2.0 * qs)
             for i, q in enumerate(cfg.qs):
                 out[(method, q, param)] = est[:, i]

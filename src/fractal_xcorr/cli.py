@@ -176,7 +176,7 @@ def _add_io_args(p, pair=True):
 
 
 def _add_common_args(p, scales=True):
-    p.add_argument("--theta", type=float, default=0.5, help="moving-average position (default 0.5)")
+    p.add_argument("--theta", type=float, help="moving-average position of q-DMCA (default 0.5)")
     p.add_argument("--q", type=float, action="append", default=None,
                    help="fluctuation order, repeatable, each order once (default 2 and 4)")
     if scales:
@@ -448,6 +448,10 @@ def _dispatch(argv, cwd=None, seed=None) -> int:
     its manifest recorded; the seed replaces $FRACTAL_XCORR_SEED."""
     args = build_parser().parse_args(argv)
     args.cwd = cwd
+    if "theta" in args:  # None unless --theta was given
+        if getattr(args, "method", None) == "q-DCCA" and args.theta is not None:
+            raise InputError("--theta sets the moving average of q-DMCA; q-DCCA has none")
+        args.theta = 0.5 if args.theta is None else args.theta
     if args.command in SEEDED_COMMANDS and not getattr(args, "spec_json", None):
         args.seed = _resolve_seed(args, seed)
     return _HANDLERS[args.command](args, list(argv))

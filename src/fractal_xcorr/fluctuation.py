@@ -251,16 +251,18 @@ def aggregate_q(fx: np.ndarray, fy: np.ndarray, cross: np.ndarray, qs) -> tuple:
     return f_x_q, f_y_q, f_xy_q, kept
 
 
-def rho_q_rows(fx: np.ndarray, fy: np.ndarray, cross: np.ndarray, qs) -> np.ndarray:
-    """Capped coefficient of every row and order at once: per-segment
-    statistics of shape (..., n_seg) give shape (..., len(qs)).
+def rho_q_grid(stats, qs) -> np.ndarray:
+    """Capped coefficient of every row, order and scale, shape (..., len(qs),
+    n_scales): stats yields each scale's per-segment (fx, fy, cross), of
+    shape (..., n_seg); each is dropped once aggregated, so a generator holds one.
 
     Row by row this is rho_q_dmca of the row's FluctuationSet, to the same
     bits.  NaN marks a cell where q_fluctuations or rho_q_dmca would raise
     (no segment left at q < 0, or F_x^q F_y^q <= 0) or that gives NaN.
     """
-    f_x_q, f_y_q, f_xy_q, _ = aggregate_q(fx, fy, cross, qs)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    f_x_q, f_y_q, f_xy_q, _ = np.stack(list(map(lambda st: aggregate_q(*st, qs), stats)), axis=-1)
+    # 1.0 / raw is taken in every cell, and overflows where a kept raw is subnormal
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         denom = f_x_q * f_y_q
         raw = f_xy_q / np.sqrt(np.where(denom > 0.0, denom, np.nan))
         return np.where(np.abs(raw) > 1.0, 1.0 / raw, raw)

@@ -11,13 +11,14 @@ two-tailed distance-from-mean p-value.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .benchmark import _row_blocks, _run_jobs
 from .errors import DegenerateFluctuationError, InputError
-from .fluctuation import DetrendConfig, _dma_segment_stats, check_orders, rho_q_rows
+from .fluctuation import DetrendConfig, _dma_segment_stats, check_orders, rho_q_grid
 from .series import AlignedPair, TimeSeries
 
 MIN_SURROGATE_LENGTH = 32
@@ -113,10 +114,9 @@ def _series_rng(seed: int, values: np.ndarray):
 
 def _rho_all_scales(px, py, cfg: DetrendConfig, qs) -> np.ndarray:
     """rho per (q, scale) of profiles (..., N), shape (..., len(qs), len(grid)),
-    NaN where degenerate.  Segment statistics are computed once per scale and
-    aggregated for every q, each row to the same bits as on its own."""
-    return np.stack([rho_q_rows(*_dma_segment_stats(px, py, s, cfg.theta), qs)
-                     for s in cfg.scale_grid], axis=-1)
+    NaN where degenerate: one rho_q_grid call over the grid's segment
+    statistics, each row to the same bits as on its own."""
+    return rho_q_grid((_dma_segment_stats(px, py, s, cfg.theta) for s in cfg.scale_grid), qs)
 
 
 def _surrogate_block(x, y, cand_x, cand_y, cfg: DetrendConfig, qs) -> np.ndarray:
@@ -146,11 +146,13 @@ def surrogate_test(pair: AlignedPair, cfg: DetrendConfig, n_surrogates: int = 10
     """Two-tailed surrogate test of the scale-wise coefficient, for each q of
     ``qs`` (default ``(cfg.q,)``) on one shared surrogate ensemble.
 
-    p = (#{|rho_s - mean| >= |rho_obs - mean|} + 1) / (n + 1); the add-one
-    correction keeps p strictly positive.  A surrogate pair that is
-    degenerate in any (q, scale) cell is regenerated from later draws of
-    the same streams (capped), then counted out.  Reports are ordered by q,
-    then by scale; they are deterministic given seed.
+    p = (#{|rho_s - mean| >= |rho_obs - mean|} + 1) / (n + 1), for every
+    cell in one pass; the add-one correction keeps p strictly positive.  A
+    pair degenerate in any (q, scale) cell, in row order, takes later pairs
+    of the same streams until one is not or MAX_REGENERATION_RETRIES have
+    failed, then is counted out.  Pairs come in rounds of one per unsettled
+    row, so none is drawn that a one-pair-at-a-time loop would not draw.
+    Reports are ordered by q, then by scale; deterministic given seed.
     """
     if seed < 0:
         raise InputError(f"seed={seed} < 0")
@@ -172,40 +174,31 @@ def surrogate_test(pair: AlignedPair, cfg: DetrendConfig, n_surrogates: int = 10
     rng_y = _series_rng(seed, y)
     surr_rhos = _score_new_pairs(x, y, n_surrogates, rng_x, rng_y, cfg, qs)
 
-    # Retry pairs are drawn from the same streams and handed out in draw
-    # order: the first degenerate row takes pairs until one is not
-    # degenerate or MAX_REGENERATION_RETRIES have failed, then the next row.
-    # Every unsettled row needs at least one more pair, so a round of that
-    # many pairs draws none that a one-pair-at-a-time loop would not draw.
     failed = np.isnan(surr_rhos).any(axis=(1, 2))
-    pending, tries = list(np.flatnonzero(failed)), 0
+    pending = list(np.flatnonzero(failed))
+    # a round of len(pending) pairs is drawn when the last is used up; zip asks range first
+    fresh = itertools.chain.from_iterable(
+        _score_new_pairs(x, y, len(pending), rng_x, rng_y, cfg, qs) for _ in itertools.count())
     while pending:
-        for rhos in _score_new_pairs(x, y, len(pending), rng_x, rng_y, cfg, qs):
-            tries += 1
-            ok = not np.isnan(rhos).any()
-            if ok:
+        for _, rhos in zip(range(MAX_REGENERATION_RETRIES), fresh):
+            if not np.isnan(rhos).any():
                 surr_rhos[pending[0]], failed[pending[0]] = rhos, False
-            if ok or tries == MAX_REGENERATION_RETRIES:
-                del pending[0]
-                tries = 0
+                break
+        del pending[0]
 
     n_failed = int(failed.sum())
     if n_failed == n_surrogates:
         raise DegenerateFluctuationError(
             f"all {n_surrogates} surrogate pairs degenerate after retries")
-    reports = []
-    for k, q in enumerate(qs):
-        for j, s in enumerate(cfg.scale_grid):
-            vals = surr_rhos[~failed, k, j]
-            mean = float(vals.mean())
-            obs = float(observed[k, j])
-            count = int(np.sum(np.abs(vals - mean) >= abs(obs - mean)))
-            reports.append(SurrogateTestReport(
-                scale=s, q=q, observed_rho=obs, surrogate_mean=mean,
-                surrogate_values=vals, p_value=(count + 1) / (vals.size + 1),
-                n_failed=n_failed,
-            ))
-    return reports
+    # C-contiguous (q, scale, pair): each cell sums as its own 1-D array would
+    vals = np.ascontiguousarray(np.moveaxis(surr_rhos[~failed], 0, -1))
+    means = vals.mean(axis=-1, keepdims=True)
+    counts = np.sum(np.abs(vals - means) >= np.abs(observed[..., None] - means), axis=-1)
+    p_values = (counts + 1) / (vals.shape[-1] + 1)
+    return [SurrogateTestReport(scale=s, q=q, observed_rho=float(observed[k, j]),
+                                surrogate_mean=float(means[k, j, 0]), surrogate_values=vals[k, j],
+                                p_value=float(p_values[k, j]), n_failed=n_failed)
+            for k, q in enumerate(qs) for j, s in enumerate(cfg.scale_grid)]
 
 
 def classify(report: SurrogateTestReport, alpha: float = 0.05) -> str:

@@ -205,6 +205,18 @@ class TestAnalyze:
         assert first.startswith("# fractal-xcorr v")
         assert digest in first
 
+    @pytest.mark.parametrize("theta", [["--theta", "0"], ["--thet", "1"], ["--theta=0.5"]])
+    def test_theta_with_box_method_exit_2(self, price_files, tmp_path, capsys, theta):
+        # q-DCCA detrends boxes by least squares: it has no moving average to place
+        xp, yp = price_files
+        out = tmp_path / "out"
+        rc = main(["analyze", str(xp), str(yp), "--column", "close", "--method", "q-DCCA",
+                   *theta, "--scales", "10,20,40", "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: --theta sets the moving average of q-DMCA; "
+                                           "q-DCCA has none\n")
+        assert not out.exists()
+
 
 class TestBenchmarkCommand:
     def test_small_run_outputs_tables(self, tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,7 @@ from fractal_xcorr.fluctuation import (
     _dma_segment_stats,
     check_orders,
     n_segments,
-    rho_q_rows,
+    rho_q_grid,
 )
 from fractal_xcorr.mc_arfima import McArfimaSpec, generate
 from conftest import gaussian_pair, one_row_rho
@@ -326,6 +328,11 @@ class TestDcca:
                 rho, _ = rho_q_dmca(fs)
                 assert rho == pytest.approx(1.0, abs=1e-12)
 
+    def test_scale_beyond_series_raises(self):
+        p = np.cumsum(np.ones(10))
+        with pytest.raises(InputError, match="^scale 11 exceeds series length 10$"):
+            _dcca_segment_stats(p, p, 11)
+
     def test_box_count_pooled(self, pair_1000):
         fs = q_fluctuations(pair_1000, DetrendConfig(scale_grid=(30,)), "q-DCCA")[0]
         assert fs.n_segments == 2 * (1000 // 30)
@@ -413,7 +420,7 @@ def _stats_and_orders(draw):
     return zero_or(1e-3), zero_or(1e-3), zero_or(-1e3), qs
 
 
-class TestRhoQRows:
+class TestRhoQGrid:
     QS = (2.0, 4.0, 3.0, -2.0, -1.0)
 
     @staticmethod
@@ -432,7 +439,7 @@ class TestRhoQRows:
         fx[3] = 0.0  # degenerate at every order
         fx[4, :20] = 0.0
         fy[4, 20:] = 0.0  # no segment left at q < 0, F_x^q F_y^q > 0 at q > 0
-        got = rho_q_rows(fx, fy, cross, self.QS)
+        got = rho_q_grid([(fx, fy, cross)], self.QS)[..., 0]
         assert got.shape == (6, len(self.QS))
         for i in range(6):
             for k, q in enumerate(self.QS):
@@ -447,7 +454,7 @@ class TestRhoQRows:
         qs = (2.0, 4.0, 3.0, 0.5, 1.0, -2.0, -1.0, -4.0)
         for s in (10, 33, 100, 250):
             for stats in (_dma_segment_stats(px, py, s, 0.5), _dcca_segment_stats(px, py, s)):
-                got = rho_q_rows(*stats, qs)
+                got = rho_q_grid([stats], qs)[..., 0]
                 for i in range(6):
                     for k, q in enumerate(qs):
                         assert got[i, k] == self._scalar(*(v[i] for v in stats), q), (s, i, q)
@@ -456,7 +463,7 @@ class TestRhoQRows:
     @given(_stats_and_orders())
     def test_rows_are_the_scalar_path_bit_for_bit(self, drawn):
         fx, fy, cross, qs = drawn
-        got = rho_q_rows(fx, fy, cross, qs)
+        got = rho_q_grid([(fx, fy, cross)], qs)[..., 0]
         for i in range(fx.shape[0]):
             for k, q in enumerate(qs):
                 try:
@@ -471,9 +478,18 @@ class TestRhoQRows:
         fx = np.array([[1.0, 2.0]])
         fy = np.array([[1.0, 2.0]])
         cross = np.array([[0.5, 0.5]])
-        got = rho_q_rows(fx, fy, cross, (-2.0,))[0, 0]
+        got = rho_q_grid([(fx, fy, cross)], (-2.0,))[0, 0, 0]
         assert got == pytest.approx(self._scalar(fx[0], fy[0], cross[0], -2.0), rel=1e-15)
         assert abs(got) <= 1.0
+
+    def test_subnormal_ratio_kept_without_warning(self):
+        # raw = 5e-324 is kept, but its reciprocal overflows where it is taken
+        fx = fy = np.ones((1, 2))
+        cross = np.array([[1e-323, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rho_q_grid([(fx, fy, cross)], (2.0,))
+        assert got.shape == (1, 1, 1) and got[0, 0, 0] == 5e-324
 
 
 class TestNonFiniteConfig:

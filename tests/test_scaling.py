@@ -12,7 +12,7 @@ from fractal_xcorr import (
     fit_power_law,
     log_scales,
 )
-from fractal_xcorr import fluctuation
+from fractal_xcorr import fluctuation, scaling
 from fractal_xcorr.mc_arfima import McArfimaSpec, generate
 from conftest import gaussian_pair
 
@@ -169,3 +169,12 @@ class TestEstimateHRho:
         cfg = DetrendConfig(scale_grid=(10, 25, 50), q=2.0)
         with pytest.raises(InputError):
             estimate_h_rho(pair_1000, cfg, method="other")
+
+    def test_zero_coherency_in_fit_range_raises(self, pair_1000, monkeypatch):
+        cfg = DetrendConfig(scale_grid=(10, 25, 50), q=2.0)
+        profile = fluctuation.CorrelationProfile(
+            method="q-DMCA", q=2.0, points=((10, 0.5, False), (25, 0.0, False), (50, 0.3, False)))
+        monkeypatch.setattr(scaling, "correlation_profile", lambda *args: profile)
+        with pytest.raises(DegenerateFluctuationError,
+                           match="^zero coherency in fit range at scale 25$"):
+            estimate_h_rho(pair_1000, cfg)

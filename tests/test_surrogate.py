@@ -436,6 +436,19 @@ class TestSurrogateBlocks:
         assert [(fn, sum(sizes)) for fn, sizes in calls] == [(surrogate._surrogate_block, 100),
                                                             (surrogate._surrogate_block, 2)]
 
+    def test_rows_that_use_up_their_retries_match_one_pair_at_a_time(self, monkeypatch, pair):
+        # a pair whose x surrogate starts at one of x's 480 smallest values is
+        # degenerate (about 80 % of draws), so the retries run over several
+        # rounds and some rows fail all MAX_REGENERATION_RETRIES
+        x = pair.x.values
+        mark_degenerate(monkeypatch, np.setdiff1d(np.sort(x)[:480], x[:1]))
+        calls = record_blocks(monkeypatch)
+        monkeypatch.setattr(benchmark, "_cpu_count", lambda: 1)
+        got = surrogate_test(pair, self.cfg, n_surrogates=100, seed=self.seed, qs=self.qs)
+        assert len(calls) > 2 and 0 < got[0].n_failed < 100  # the ensemble, then rounds
+        assert_same_reports(got, surrogate_test_reference(pair, self.cfg, 100, self.seed,
+                                                          self.qs))
+
 
 class TestClassify:
     def _report(self, q, rho, p):
