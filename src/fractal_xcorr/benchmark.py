@@ -94,7 +94,7 @@ def _cell_seed(master_seed: int, length: int, cross_corr: float, rep: int) -> in
     return (base + rep) & ((1 << 63) - 1)
 
 
-def _estimate_all(px, py, cfg: BenchmarkConfig, length: int, grids):
+def _estimate_all(px, py, cfg: BenchmarkConfig, grids):
     """Coherency estimates for every (method, q, fit range) on a stack of
     profiles of shape (R, N): {(method, q, param): R estimates}.
 
@@ -144,7 +144,7 @@ def _replicate(cfg: BenchmarkConfig, length: int, cross_corr: float, grids,
     )) for rep in range(first, stop)]
     px = np.cumsum([s.x.values for s in samples], axis=-1)
     py = np.cumsum([s.y.values for s in samples], axis=-1)
-    return _estimate_all(px, py, cfg, length, grids)
+    return _estimate_all(px, py, cfg, grids)
 
 
 def _cpu_count() -> int:

@@ -107,35 +107,53 @@ def _kept_lines(text: str) -> list:
             if ln.strip() and not ln.lstrip().startswith("#")]
 
 
-def _parse_plain(path, text: str, column):
-    """One vectorised parse of a quote-free CSV text: (values, label).
+def _parse_loadtxt(path, source, first: str, second: str, column):
+    """One vectorised parse of quote-free, comment-free CSV lines: (values, label).
 
-    Returns None whenever the result could differ from the row reader's, or
-    the row reader would raise: quotes, comma-only lines, too few rows, an
-    unknown column, and any unparseable, missing or non-finite cell.
+    ``source`` is what np.loadtxt reads, and ``first`` and ``second`` are its
+    first two lines ("" past its end).  np.loadtxt skips empty lines, as the
+    line filter does.  Returns None whenever the result could differ from
+    the row reader's, or the row reader would raise: a blank or comma-only
+    first line, a blank first data row, too few rows, an unknown column, and
+    any unparseable, missing or non-finite cell.
     """
-    if '"' in text:
+    cells = first.rstrip("\r\n").split(",")
+    if not "".join(cells).strip():
         return None
-    lines = text.removesuffix("\n").split("\n")  # the kept lines unless '#', CR or blank
-    if "#" in text or "\r" in text or not all(map(str.strip, lines)):
-        lines = _kept_lines(text)
-    if not lines:
-        return None
-    first = lines[0].rstrip("\r\n").split(",")
-    if not "".join(first).strip():
-        return None
-    header = [c.strip() for c in first] if _is_header(first) else None
-    data = lines[1:] if header is not None else lines
-    if len(data) < 2:
+    header = [c.strip() for c in cells] if _is_header(cells) else None
+    row = second if header is not None else first
+    if not row.strip():  # np.loadtxt would warn on a file with no data row
         return None
     try:
-        idx, label = _resolve_column(path, header, data[0].count(",") + 1, column)
-        values = np.loadtxt(data, delimiter=",", usecols=idx, comments=None, ndmin=1)
+        idx, label = _resolve_column(path, header, row.count(",") + 1, column)
+        values = np.loadtxt(source, delimiter=",", usecols=idx, comments=None, ndmin=1,
+                            skiprows=int(header is not None))
     except (InputError, ValueError):
         return None
-    if not np.isfinite(values).all():
+    if len(values) < 2 or not np.isfinite(values).all():
         return None
     return values, label
+
+
+def _parse_bytes(path, data: bytes, column):
+    """_parse_loadtxt straight from the bytes of a plain file: ASCII, with no
+    '"', '#' or CR.  None for any other file."""
+    if not data.isascii() or any(token in data for token in (b'"', b"#", b"\r")):
+        return None
+    stream = io.BytesIO(data)  # shares data's buffer; np.loadtxt reads it line by line
+    first, second = (stream.readline().decode("ascii") for _ in range(2))
+    stream.seek(0)
+    return _parse_loadtxt(path, stream, first, second, column)
+
+
+def _parse_text(path, text: str, column):
+    """_parse_loadtxt on the kept lines of a quote-free text; None for a
+    quoted text."""
+    if '"' in text:
+        return None
+    lines = _kept_lines(text)
+    first, second = (lines[:2] + ["", ""])[:2]
+    return _parse_loadtxt(path, lines, first, second, column)
 
 
 def _parse_rows(path, text: str, column):
@@ -179,20 +197,27 @@ def load_csv(path, column) -> TimeSeries:
     auto-detected (first row whose cells are not all numeric).  Unparseable
     cells raise an error naming the offending row.
 
-    A quote-free file is parsed in one vectorised pass; quoted files,
-    comma-only lines and every file with an error go through the row-by-row
-    reader, which gives identical values and names the offending row.
+    The file is read once, as bytes.  A plain ASCII file (no quote, '#' or
+    CR) is parsed from those bytes in one vectorised pass.  Any other file
+    is decoded as UTF-8 and gives the same values through the line filter,
+    or through the row-by-row reader for quoted files, comma-only lines and
+    every file with an error, which names the offending row.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
         raise InputError(f"no such file: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     except OSError as exc:
         raise InputError(f"{path}: cannot read ({exc.strerror or exc})") from None
-    values, label = _parse_plain(path, text, column) or _parse_rows(path, text, column)
+    parsed = _parse_bytes(path, data, column)
+    if parsed is None:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+        parsed = _parse_text(path, text, column) or _parse_rows(path, text, column)
+    values, label = parsed
     return TimeSeries(values, label=label)
 
 

@@ -244,9 +244,9 @@ class TestBatchedReplications:
         rows = []
         estimate_all = bench_mod._estimate_all
 
-        def record(px, py, cfg, length, grids=None):
+        def record(px, py, cfg, grids):
             rows.append(px.shape)
-            return estimate_all(px, py, cfg, length, grids)
+            return estimate_all(px, py, cfg, grids)
 
         monkeypatch.setattr(bench_mod, "_estimate_all", record)
         monkeypatch.setattr(bench_mod, "BLOCK_POINTS", 4 * 500)

@@ -298,7 +298,7 @@ class TestBenchmarkCommand:
         (InputError, 2, "error: "),
     ])
     def test_worker_error_reaches_exit_code(self, tmp_path, capsys, monkeypatch, error, rc, prefix):
-        def fail(px, py, cfg, length, grids):
+        def fail(px, py, cfg, grids):
             raise error(f"raised in pid {os.getpid()}")
 
         monkeypatch.setattr(benchmark, "_estimate_all", fail)

@@ -222,6 +222,10 @@ LOADER_CASES = {
     "empty": "\n# only a comment\n\n",
     "one_row": "v\n1.0\n",
     "header_only": "v,w\n",
+    "non_ascii_space": "v\n1.0\n2.0\xa0\n3.0\n",
+    "tab_only_row": "v\n1.0\n\t\n2.0\n",
+    "empty_lines": "v,w\n1,2\n\n3,4\n\n\n5,6\n\n",
+    "empty_line_after_header": "v\n\n1.0\n2.0\n",
 }
 
 
@@ -301,7 +305,7 @@ def test_load_csv_unreadable_path_raises_input_error(tmp_path):
     assert str(info.value) == f"{tmp_path}: cannot read (Is a directory)"
 
 
-# -- the screened split against the reference loader --------------------------
+# -- the byte parse and the line filter against the reference loader ----------
 
 LOADER_CHARS = [*".,-+eE_#\"\r\n \t\x0b\x0c\x1c\x85\xa0\u2028", "nan", "inf", "1e500"]
 LOADER_TOKENS = [*"0123456789", *LOADER_CHARS]
@@ -380,6 +384,33 @@ def test_load_csv_paper_sized_file_takes_the_screened_split(tmp_path, monkeypatc
     got = load_csv(p, "close")
     assert got.label == "close" and len(got) == 35_609
     assert got.values.tobytes() == want.tobytes()
+
+
+def test_load_csv_plain_file_with_empty_lines_takes_the_byte_parse(tmp_path, monkeypatch):
+    import fractal_xcorr.series as series
+
+    monkeypatch.setattr(series, "_kept_lines", _refuse)
+    monkeypatch.setattr(series, "_parse_rows", _refuse)
+    p = tmp_path / "empty_lines.csv"
+    p.write_bytes(LOADER_CASES["empty_lines"].encode())
+    got = load_csv(p, "w")
+    assert got.label == "w" and got.values.tolist() == [2.0, 4.0, 6.0]
+
+
+def test_load_csv_paper_sized_file_peaks_below_twice_its_size(tmp_path):
+    import tracemalloc
+
+    text, want = _paper_sized_prices()
+    p = tmp_path / "prices.csv"
+    p.write_bytes(text.encode())
+    tracemalloc.start()
+    try:
+        got = load_csv(p, "close")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.values.tobytes() == want.tobytes()
+    assert peak < 2 * p.stat().st_size, f"peak {peak} B for a {p.stat().st_size} B file"
 
 
 def test_load_csv_paper_sized_variants_take_the_filter(tmp_path, monkeypatch):
