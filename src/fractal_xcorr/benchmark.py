@@ -122,8 +122,8 @@ def _estimate_all(px, py, cfg: BenchmarkConfig, grids):
 
 
 def _check_cell(cfg: BenchmarkConfig, length: int, cross_corr: float, grids) -> None:
-    """Raise an InputError if the cell cannot run or has a fit range of fewer
-    than 3 scales."""
+    """Raise an InputError if the cell cannot run, a method has no fit range
+    or a fit range has fewer than 3 scales."""
     McArfimaSpec(cross_corr=cross_corr, length=length, truncation=cfg.truncation)
     for method, by_param in grids.items():
         for param, scales in by_param.items():
@@ -132,6 +132,9 @@ def _check_cell(cfg: BenchmarkConfig, length: int, cross_corr: float, grids) -> 
                                  f"{len(scales)} scale(s); at least 3 are needed")
     for s in sorted({s for g in grids["DMCA"].values() for s in g}):
         _check_dma_scale(length, s, cfg.theta)
+    for method, by_param in grids.items():
+        if not by_param:
+            raise InputError(f"{method} has no fit range at N={length}")
 
 
 def _replicate(cfg: BenchmarkConfig, length: int, cross_corr: float, grids,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import asdict, dataclass
 
@@ -101,59 +102,39 @@ def _resolve_column(path, header, n_cols, column) -> tuple:
     return header.index(column), column
 
 
-def _kept_lines(text: str) -> list:
-    """Lines that are neither blank nor '#' comments, split as csv splits them."""
-    return [ln for ln in io.StringIO(text, newline="")
-            if ln.strip() and not ln.lstrip().startswith("#")]
+def _parse_lines(path, lines, column):
+    """One vectorised parse of quote-free CSV lines: (values, label).
 
-
-def _parse_loadtxt(path, source, first: str, second: str, column):
-    """One vectorised parse of quote-free, comment-free CSV lines: (values, label).
-
-    ``source`` is what np.loadtxt reads, and ``first`` and ``second`` are its
-    first two lines ("" past its end).  np.loadtxt skips empty lines, as the
-    line filter does.  Returns None whenever the result could differ from
-    the row reader's, or the row reader would raise: a blank or comma-only
-    first line, a blank first data row, too few rows, an unknown column, and
-    any unparseable, missing or non-finite cell.
+    ``lines`` is an iterator of decoded lines; np.loadtxt reads all but the
+    header straight from it, and skips empty lines as the row reader does.
+    Returns None whenever the result could differ from the row reader's, or
+    the row reader would raise: a blank or comma-only first line, a blank
+    first data row, too few rows, an unknown column, any unparseable,
+    missing or non-finite cell, and any byte that is not UTF-8.
     """
-    cells = first.rstrip("\r\n").split(",")
-    if not "".join(cells).strip():
-        return None
-    header = [c.strip() for c in cells] if _is_header(cells) else None
-    row = second if header is not None else first
-    if not row.strip():  # np.loadtxt would warn on a file with no data row
-        return None
     try:
+        first = next(lines, "")
+        cells = first.split(",")
+        if not "".join(cells).strip():
+            return None
+        header = [c.strip() for c in cells] if _is_header(cells) else None
+        row = next(lines, "") if header is not None else first
+        if not row.strip():  # np.loadtxt would warn on a file with no data row
+            return None
         idx, label = _resolve_column(path, header, row.count(",") + 1, column)
-        values = np.loadtxt(source, delimiter=",", usecols=idx, comments=None, ndmin=1,
-                            skiprows=int(header is not None))
-    except (InputError, ValueError):
+        values = np.loadtxt(itertools.chain([row], lines), delimiter=",", usecols=idx,
+                            comments=None, ndmin=1)
+    except (InputError, ValueError):  # UnicodeDecodeError is a ValueError
         return None
     if len(values) < 2 or not np.isfinite(values).all():
         return None
     return values, label
 
 
-def _parse_bytes(path, data: bytes, column):
-    """_parse_loadtxt straight from the bytes of a plain file: ASCII, with no
-    '"', '#' or CR.  None for any other file."""
-    if not data.isascii() or any(token in data for token in (b'"', b"#", b"\r")):
-        return None
-    stream = io.BytesIO(data)  # shares data's buffer; np.loadtxt reads it line by line
-    first, second = (stream.readline().decode("ascii") for _ in range(2))
-    stream.seek(0)
-    return _parse_loadtxt(path, stream, first, second, column)
-
-
-def _parse_text(path, text: str, column):
-    """_parse_loadtxt on the kept lines of a quote-free text; None for a
-    quoted text."""
-    if '"' in text:
-        return None
-    lines = _kept_lines(text)
-    first, second = (lines[:2] + ["", ""])[:2]
-    return _parse_loadtxt(path, lines, first, second, column)
+def _decoded_lines(data: bytes):
+    """The lines of ``data`` decoded as UTF-8 as they are read, with CR and
+    CRLF read as LF."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None)
 
 
 def _parse_rows(path, text: str, column):
@@ -197,11 +178,12 @@ def load_csv(path, column) -> TimeSeries:
     auto-detected (first row whose cells are not all numeric).  Unparseable
     cells raise an error naming the offending row.
 
-    The file is read once, as bytes.  A plain ASCII file (no quote, '#' or
-    CR) is parsed from those bytes in one vectorised pass.  Any other file
-    is decoded as UTF-8 and gives the same values through the line filter,
-    or through the row-by-row reader for quoted files, comma-only lines and
-    every file with an error, which names the offending row.
+    The file is read once, as bytes.  A quote-free file is parsed in one
+    vectorised pass over its lines as they are decoded: all of them when
+    the file holds no '#', else (or when that pass refuses) those that are
+    neither blank nor comments.  A quoted file, and any file that pass
+    refuses, is decoded whole and goes through the row-by-row reader, which
+    gives the same values and names the offending row of a bad file.
     """
     try:
         with open(path, "rb") as fh:
@@ -210,13 +192,19 @@ def load_csv(path, column) -> TimeSeries:
         raise InputError(f"no such file: {path}") from None
     except OSError as exc:
         raise InputError(f"{path}: cannot read ({exc.strerror or exc})") from None
-    parsed = _parse_bytes(path, data, column)
+    parsed = None
+    if b'"' not in data:
+        if b"#" not in data:
+            parsed = _parse_lines(path, _decoded_lines(data), column)
+        if parsed is None:
+            kept = (ln for ln in _decoded_lines(data) if (s := ln.lstrip()) and s[0] != "#")
+            parsed = _parse_lines(path, kept, column)
     if parsed is None:
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from None
-        parsed = _parse_text(path, text, column) or _parse_rows(path, text, column)
+        parsed = _parse_rows(path, text, column)
     values, label = parsed
     return TimeSeries(values, label=label)
 

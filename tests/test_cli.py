@@ -283,8 +283,16 @@ class TestBenchmarkCommand:
          "DMCA fit range 10 at N=500 has 1 scale(s); at least 3 are needed"),
         (["--cross-corrs", "0.5", "--n-min", "4", "--s-max", "11"],
          "DMCA fit range 11 at N=500 has 2 scale(s); at least 3 are needed"),
+        # only n_min below N/5 are kept, so N=500 is left no DCCA fit range
+        (["--cross-corrs", "0.5", "--n-min", "100"], "DCCA has no fit range at N=500"),
+        (["--lengths", "5000,500", "--n-min", "200"], "DCCA has no fit range at N=500"),
     ])
-    def test_unrunnable_grid_rejected_before_manifest(self, tmp_path, capsys, argv, message):
+    def test_unrunnable_grid_rejected_before_manifest(self, tmp_path, capsys, monkeypatch,
+                                                      argv, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("replication generated")
+
+        monkeypatch.setattr(benchmark, "generate", refuse)
         rc = main(["benchmark", "--reps", "10", "--lengths", "500", *argv,
                    "--out-dir", str(tmp_path)])
         err = capsys.readouterr()

@@ -305,7 +305,7 @@ def test_load_csv_unreadable_path_raises_input_error(tmp_path):
     assert str(info.value) == f"{tmp_path}: cannot read (Is a directory)"
 
 
-# -- the byte parse and the line filter against the reference loader ----------
+# -- the vectorised line parse against the reference loader -------------------
 
 LOADER_CHARS = [*".,-+eE_#\"\r\n \t\x0b\x0c\x1c\x85\xa0\u2028", "nan", "inf", "1e500"]
 LOADER_TOKENS = [*"0123456789", *LOADER_CHARS]
@@ -370,26 +370,55 @@ def _paper_sized_prices(n_returns=35_608, seed=35):
 
 
 def _refuse(*args):
-    raise AssertionError("line filter or row-by-row reader used")
+    raise AssertionError("row-by-row reader used")
 
 
-def test_load_csv_paper_sized_file_takes_the_screened_split(tmp_path, monkeypatch):
+def _commented(text):
+    lines = text.split("\n")
+    return "# gold, 1-minute closes\n" + "\n".join(
+        ln if i % 997 else f"# block {i}\n{ln}" for i, ln in enumerate(lines))
+
+
+def _blank_lines(text):
+    lines = text.split("\n")
+    return "\n".join(ln if i % 1009 else f"\n \t\n{ln}" for i, ln in enumerate(lines)) + "\n\n"
+
+
+# The paper-sized price file laid out in other ways that hold the same values.
+PAPER_SIZED_VARIANTS = {
+    "plain": lambda text: text,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "lone_cr": lambda text: text.replace("\n", "\r"),
+    "commented": _commented,
+    "blank_lines": _blank_lines,
+    "bom": lambda text: "\ufeff" + text,
+    "non_ascii_header": lambda text: text.replace("minute,", "min\u00fcte,", 1),
+}
+
+
+def _paper_sized_variant(name):
+    """The paper-sized price file as bytes, laid out as ``name`` says, and the
+    close values it holds."""
+    text, want = _paper_sized_prices()
+    return PAPER_SIZED_VARIANTS[name](text).encode(), want
+
+
+@pytest.mark.parametrize("name", list(PAPER_SIZED_VARIANTS))
+def test_load_csv_paper_sized_variants_take_the_vector_parse(tmp_path, monkeypatch, name):
     import fractal_xcorr.series as series
 
-    text, want = _paper_sized_prices()
-    p = tmp_path / "prices.csv"
-    p.write_bytes(text.encode())
-    monkeypatch.setattr(series, "_kept_lines", _refuse)
+    data, want = _paper_sized_variant(name)
+    p = tmp_path / f"{name}.csv"
+    p.write_bytes(data)
     monkeypatch.setattr(series, "_parse_rows", _refuse)
     got = load_csv(p, "close")
     assert got.label == "close" and len(got) == 35_609
     assert got.values.tobytes() == want.tobytes()
 
 
-def test_load_csv_plain_file_with_empty_lines_takes_the_byte_parse(tmp_path, monkeypatch):
+def test_load_csv_plain_file_with_empty_lines_takes_the_vector_parse(tmp_path, monkeypatch):
     import fractal_xcorr.series as series
 
-    monkeypatch.setattr(series, "_kept_lines", _refuse)
     monkeypatch.setattr(series, "_parse_rows", _refuse)
     p = tmp_path / "empty_lines.csv"
     p.write_bytes(LOADER_CASES["empty_lines"].encode())
@@ -397,12 +426,13 @@ def test_load_csv_plain_file_with_empty_lines_takes_the_byte_parse(tmp_path, mon
     assert got.label == "w" and got.values.tolist() == [2.0, 4.0, 6.0]
 
 
-def test_load_csv_paper_sized_file_peaks_below_twice_its_size(tmp_path):
+@pytest.mark.parametrize("name", ["plain", "crlf", "lone_cr", "commented", "bom"])
+def test_load_csv_paper_sized_file_peaks_below_twice_its_size(tmp_path, name):
     import tracemalloc
 
-    text, want = _paper_sized_prices()
-    p = tmp_path / "prices.csv"
-    p.write_bytes(text.encode())
+    data, want = _paper_sized_variant(name)
+    p = tmp_path / f"{name}.csv"
+    p.write_bytes(data)
     tracemalloc.start()
     try:
         got = load_csv(p, "close")
@@ -410,28 +440,19 @@ def test_load_csv_paper_sized_file_peaks_below_twice_its_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert got.values.tobytes() == want.tobytes()
-    assert peak < 2 * p.stat().st_size, f"peak {peak} B for a {p.stat().st_size} B file"
+    assert peak < 2 * len(data), f"peak {peak} B for a {len(data)} B file"
 
 
-def test_load_csv_paper_sized_variants_take_the_filter(tmp_path, monkeypatch):
-    import fractal_xcorr.series as series
-
-    text, want = _paper_sized_prices()
-    lines = text.split("\n")
-    variants = {
-        "crlf": text.replace("\n", "\r\n"),
-        "lone_cr": text.replace("\n", "\r"),
-        "commented": "# gold, 1-minute closes\n" + "\n".join(
-            ln if i % 997 else f"# block {i}\n{ln}" for i, ln in enumerate(lines)),
-        "blank_lines": "\n".join(ln if i % 1009 else f"\n \t\n{ln}" for i, ln in enumerate(lines))
-        + "\n\n",
-    }
-    kept, used = series._kept_lines, []
-    monkeypatch.setattr(series, "_kept_lines", lambda t: used.append(1) or kept(t))
-    monkeypatch.setattr(series, "_parse_rows", _refuse)
-    for name, variant in variants.items():
-        p = tmp_path / f"{name}.csv"
-        p.write_bytes(variant.encode())
-        got = load_csv(p, "close")
-        assert got.label == "close" and got.values.tobytes() == want.tobytes(), name
-    assert len(used) == len(variants)
+@pytest.mark.parametrize("where", ["early", "late", "cut_short"])
+def test_load_csv_invalid_utf8_names_its_byte(tmp_path, where):
+    data, _ = _paper_sized_variant("plain")
+    if where == "cut_short":  # the file ends inside a two-byte sequence
+        at, data = len(data), data + b"\xc3"
+    else:
+        at = 5 if where == "early" else len(data) - 20
+        data = data[:at] + b"\xff" + data[at + 1:]
+    p = tmp_path / "bad.csv"
+    p.write_bytes(data)
+    with pytest.raises(InputError) as info:
+        load_csv(p, "close")
+    assert str(info.value) == f"{p}: not UTF-8 text (byte {at})"
