@@ -115,7 +115,7 @@ def _estimate_all(px, py, cfg: BenchmarkConfig, grids):
         for param, fit in by_param.items():
             cols = np.take(log_rho2, np.searchsorted(scales, fit), axis=-1)
             slope, _ = ols_fit(np.log(fit), cols)
-            est = slope / (2.0 * qs)
+            est = 0.5 * slope / qs
             for i, q in enumerate(cfg.qs):
                 out[(method, q, param)] = est[:, i]
     return out

@@ -118,7 +118,8 @@ def _write_csv(path: Path, digest: str, fieldnames, rows):
 
 
 def _write_json(path: Path, digest: str, payload):
-    path.write_text(json.dumps({"manifest": digest, "results": payload}, indent=2) + "\n")
+    path.write_text(json.dumps({"manifest": digest, "results": payload}, indent=2,
+                               allow_nan=False) + "\n")
 
 
 def _save(args, argv, config: dict, inputs=(), tables=(), json_name=None,

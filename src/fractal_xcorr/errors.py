@@ -6,7 +6,7 @@ class InputError(ValueError):
 
 
 class DegenerateFluctuationError(ArithmeticError):
-    """A fluctuation function vanished where a positive value is required.
+    """A fluctuation function vanished, or is not finite, where it must be usable.
 
     Raised e.g. for constant series (zero DMA variance), perfectly linear
     profiles under polynomial detrending, or a zero portfolio-variance

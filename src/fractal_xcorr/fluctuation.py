@@ -232,10 +232,11 @@ def aggregate_q(fx: np.ndarray, fy: np.ndarray, cross: np.ndarray, qs) -> tuple:
 
     F_xy^q averages the sign-carrying power sign(cross) |cross|^(q/2).  At
     q < 0 a segment where either RMS vanishes is skipped: it adds zero to
-    the sums and is left out of kept, the number of segments averaged over
-    (NaN means where kept is 0).  Each row gets the same bits as on its own.
+    the sums and is left out of kept, the number of segments averaged over.
+    All three means are NaN in a cell with no kept segment or with one of
+    them not finite.  Each row gets the same bits as on its own.
     """
-    f_x_q, f_y_q, f_xy_q, kept = np.empty((4,) + fx.shape[:-1] + (len(qs),))
+    f_x_q, f_y_q, f_xy_q, kept = out = np.empty((4,) + fx.shape[:-1] + (len(qs),))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # a scalar power takes numpy's square/copy shortcuts
         for i, q in enumerate(map(float, qs)):
@@ -248,6 +249,7 @@ def aggregate_q(fx: np.ndarray, fy: np.ndarray, cross: np.ndarray, qs) -> tuple:
                 kept[..., i] = fx.shape[-1]
             f_x_q[..., i], f_y_q[..., i], f_xy_q[..., i] = (v.sum(axis=-1) / kept[..., i]
                                                             for v in powers)
+    out[:3, ~np.isfinite(out[:3]).all(axis=0)] = np.nan
     return f_x_q, f_y_q, f_xy_q, kept
 
 
@@ -257,8 +259,8 @@ def rho_q_grid(stats, qs) -> np.ndarray:
     shape (..., n_seg); each is dropped once aggregated, so a generator holds one.
 
     Row by row this is rho_q_dmca of the row's FluctuationSet, to the same
-    bits.  NaN marks a cell where q_fluctuations or rho_q_dmca would raise
-    (no segment left at q < 0, or F_x^q F_y^q <= 0) or that gives NaN.
+    bits.  NaN marks a cell where q_fluctuations or rho_q_dmca would raise:
+    one that aggregate_q marks NaN, or one with F_x^q F_y^q <= 0.
     """
     f_x_q, f_y_q, f_xy_q, _ = np.stack(list(map(lambda st: aggregate_q(*st, qs), stats)), axis=-1)
     # 1.0 / raw is taken in every cell, and overflows where a kept raw is subnormal
@@ -276,16 +278,19 @@ def q_fluctuations(pair: AlignedPair, cfg: DetrendConfig, method: str = "q-DMCA"
     cfg.check_length(len(pair))
     px = np.cumsum(pair.x.values)
     py = px if pair.y is pair.x else np.cumsum(pair.y.values)
-    out = []
-    for s in cfg.scale_grid:
-        fx, fy, cross = (_dma_segment_stats(px, py, s, cfg.theta) if method == "q-DMCA"
-                         else _dcca_segment_stats(px, py, s))
-        f_x_q, f_y_q, f_xy_q, kept = (v.item() for v in aggregate_q(fx, fy, cross, (cfg.q,)))
-        if kept < 1:
-            raise DegenerateFluctuationError(f"scale {s}: every segment degenerate at q={cfg.q}")
-        out.append(FluctuationSet(scale=s, q=cfg.q, f_x_q=f_x_q, f_y_q=f_y_q, f_xy_q=f_xy_q,
-                                  n_segments=int(kept), n_skipped=fx.size - int(kept)))
-    return out
+    return [_fluctuation_set(s, cfg.q, _dma_segment_stats(px, py, s, cfg.theta)
+                            if method == "q-DMCA" else _dcca_segment_stats(px, py, s))
+            for s in cfg.scale_grid]
+
+
+def _fluctuation_set(scale: int, q: float, stats) -> FluctuationSet:
+    """One cell of q_fluctuations; raises where aggregate_q marks it NaN."""
+    f_x_q, f_y_q, f_xy_q, kept = (v.item() for v in aggregate_q(*stats, (q,)))
+    if math.isnan(f_x_q):
+        reason = "every segment degenerate" if kept < 1 else "order-q mean not finite"
+        raise DegenerateFluctuationError(f"scale {scale}: {reason} at q={q}")
+    return FluctuationSet(scale=scale, q=q, f_x_q=f_x_q, f_y_q=f_y_q, f_xy_q=f_xy_q,
+                          n_segments=int(kept), n_skipped=stats[0].size - int(kept))
 
 
 def rho_q_dmca(fs: FluctuationSet):

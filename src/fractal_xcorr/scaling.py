@@ -111,4 +111,4 @@ def estimate_h_rho(pair: AlignedPair, cfg: DetrendConfig,
         if rho == 0.0:
             raise DegenerateFluctuationError(f"zero coherency in fit range at scale {s}")
     fit = fit_power_law([(s, rho**2) for s, rho, _ in profile.points])
-    return CoherencyEstimate(h_rho=fit.exponent / (2.0 * cfg.q), per_scale_rho=profile, fit=fit)
+    return CoherencyEstimate(h_rho=0.5 * fit.exponent / cfg.q, per_scale_rho=profile, fit=fit)

@@ -105,10 +105,10 @@ def iaaft_surrogate(x: TimeSeries, seed: int = 0) -> TimeSeries:
     return TimeSeries(out, label=f"{x.label}-surrogate")
 
 
-def _series_rng(seed: int, values: np.ndarray):
+def _series_rng(seed: int, values: np.ndarray, *words):
     digest = hashlib.sha256(np.ascontiguousarray(values).tobytes()).digest()
     return np.random.default_rng(
-        np.random.SeedSequence([seed, int.from_bytes(digest[:8], "little")])
+        np.random.SeedSequence([seed, int.from_bytes(digest[:8], "little"), *words])
     )
 
 
@@ -168,10 +168,10 @@ def surrogate_test(pair: AlignedPair, cfg: DetrendConfig, n_surrogates: int = 10
     if np.isnan(observed).any():
         raise DegenerateFluctuationError("degenerate fluctuation in the observed pair")
 
-    # Streams are keyed on series content, not argument position, so that
-    # swapping the pair yields the same surrogates and identical p-values.
+    # Streams are keyed on series content, not argument position, so swapping
+    # the pair gives the same p-values; a y equal to x takes one more word.
     rng_x = _series_rng(seed, x)
-    rng_y = _series_rng(seed, y)
+    rng_y = _series_rng(seed, y, 1) if np.array_equal(x, y) else _series_rng(seed, y)
     surr_rhos = _score_new_pairs(x, y, n_surrogates, rng_x, rng_y, cfg, qs)
 
     failed = np.isnan(surr_rhos).any(axis=(1, 2))

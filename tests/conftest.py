@@ -6,8 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from fractal_xcorr import AlignedPair, DegenerateFluctuationError, TimeSeries
-from fractal_xcorr.fluctuation import FluctuationSet, aggregate_q, rho_q_dmca
+from fractal_xcorr import AlignedPair, TimeSeries
+from fractal_xcorr.fluctuation import _fluctuation_set, rho_q_dmca
 
 
 def gaussian_pair(seed, n, corr=0.0):
@@ -18,15 +18,12 @@ def gaussian_pair(seed, n, corr=0.0):
 
 
 def one_row_rho(scale, q, fx, fy, cross):
-    """rho_q_dmca of one row of segment statistics at order q, through a
-    one-row aggregate_q call: the scalar path that every batched scoring
-    must match bit for bit.  Raises DegenerateFluctuationError where no
-    segment is kept, as q_fluctuations does, or where rho_q_dmca raises."""
-    f_x_q, f_y_q, f_xy_q, kept = (v.item() for v in aggregate_q(fx, fy, cross, (q,)))
-    if kept < 1:
-        raise DegenerateFluctuationError(f"scale {scale}: every segment degenerate at q={q}")
-    return rho_q_dmca(FluctuationSet(scale=scale, q=q, f_x_q=f_x_q, f_y_q=f_y_q,
-                                     f_xy_q=f_xy_q, n_segments=int(kept)))
+    """rho_q_dmca of one row of segment statistics at order q, through the
+    one-cell step of q_fluctuations: the scalar path that every batched
+    scoring must match bit for bit.  Raises DegenerateFluctuationError where
+    aggregate_q marks the cell NaN, as q_fluctuations does, or where
+    rho_q_dmca raises."""
+    return rho_q_dmca(_fluctuation_set(scale, q, (fx, fy, cross)))
 
 
 @pytest.fixture

@@ -346,6 +346,25 @@ def test_zero_or_non_finite_order_exit_2(price_files, tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["analyze", "--method", "q-DMCA"],
+                                  ["analyze", "--method", "q-DCCA"], ["portfolio"]],
+                         ids=["analyze_dmca", "analyze_dcca", "portfolio"])
+def test_order_q_mean_not_finite_exit_3(tmp_path, capsys, argv):
+    # 600 Student-t returns: their segment RMS values are small enough that
+    # the order -200 powers overflow, where a NaN would reach the JSON
+    rng = np.random.default_rng(26)
+    paths = [tmp_path / "x.csv", tmp_path / "y.csv"]
+    for path in paths:
+        write_prices(path, 100.0 * np.exp(np.cumsum(0.01 * rng.standard_t(3, 601))))
+    out = tmp_path / "out"
+    rc = main([argv[0], *map(str, paths), *argv[1:], "--column", "close",
+               "--scales", "20,40,80", "--q=-200", "--out-dir", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "numerical degeneracy: scale 20: order-q mean not finite at q=-200.0\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["analyze", "test", "portfolio", "benchmark"])
 def test_repeated_order_exit_2(price_files, tmp_path, capsys, command):
     xp, yp = price_files
@@ -936,14 +955,14 @@ PARSER_ARGUMENTS = _parser_arguments()
 # by cli_inputs.  Positional arguments are keyed by dest.
 ARG_VALUES = {
     "x_csv": (["{csv64}"], ["{dir}", "{missing}", "{nan_csv}"]),
-    "y_csv": (["{csv64b}"], ["{dir}", "{missing}", "{short_csv}"]),
+    "y_csv": (["{csv64b}", "{csv64}"], ["{dir}", "{missing}", "{short_csv}"]),
     "manifest": (["{manifest}"], ["{dir}", "{missing}", "{bad_json}"]),
     "--column": (["close", "0"], ["1", "-1", "nope"]),
     "--returns": (["log", "raw"], ["bogus"]),
     "--out-dir": (["{out}"], ["{csv64}"]),
     "--format": (["csv", "json", "both"], ["xml"]),
     "--theta": (["0.5", "0", "1"], ["nan", "-1", "x"]),
-    "--q": (["2", "-2", "4"], ["0", "nan", "inf"]),
+    "--q": (["2", "-2", "4", "-200", "1e308"], ["0", "nan", "inf"]),
     "--scales": (["4,8", "4,8,15", "log:4:15:3"],
                  ["log:4:15", "log:0:15:3", "log:a:b:c", "log:20:99999999999999999999999:5",
                   "0", "-1", "1000", "4,x"]),
@@ -1027,3 +1046,10 @@ def test_drawn_argv_exits_0_2_or_3(cli_inputs, capsys, drawn):
     messages = [ln for ln in err.splitlines()
                 if ln.startswith(("error: ", "numerical degeneracy: "))]
     assert len(messages) == (rc != 0) and "Traceback" not in err, (argv, err)
+    for path in cli_inputs["dir"].rglob("*.json"):  # strict JSON: no NaN or Infinity
+        if path != cli_inputs["bad_json"]:
+            json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} in a JSON result")

@@ -20,6 +20,7 @@ from fractal_xcorr.fluctuation import (
     FluctuationSet,
     _dcca_segment_stats,
     _dma_segment_stats,
+    aggregate_q,
     check_orders,
     n_segments,
     rho_q_grid,
@@ -270,6 +271,21 @@ class TestNegativeQ:
         assert all(type(v) is float for v in (fs.f_x_q, fs.f_y_q, fs.f_xy_q))
         assert type(fs.n_segments) is int and type(fs.n_skipped) is int
 
+    @pytest.mark.parametrize("q, amplitude", [(-200.0, 0.01), (400.0, 1e3)])
+    def test_order_q_mean_not_finite_raises(self, q, amplitude):
+        # segments are kept, but their order-q powers overflow: q = -200 on
+        # RMS values near 0.01, q = 400 on RMS values above ten
+        pair = gaussian_pair(5, 200, corr=0.5)
+        pair = AlignedPair(TimeSeries(amplitude * pair.x.values),
+                           TimeSeries(amplitude * pair.y.values))
+        with pytest.raises(DegenerateFluctuationError,
+                           match=rf"^scale 5: order-q mean not finite at q={q}$"):
+            q_fluctuations(pair, DetrendConfig(scale_grid=(5, 10), q=q))
+        with pytest.raises(DegenerateFluctuationError, match=r"^scale 5: order-q mean"):
+            q_fluctuations(pair, DetrendConfig(scale_grid=(5, 10), q=q), "q-DCCA")
+        assert np.isnan(rho_q_grid([_dma_segment_stats(*_profile_pair(pair), 5, 0.5)],
+                                   (2.0, q))[1]).all()
+
     @pytest.mark.parametrize("q", [-1.0, -2.0, -4.0])
     def test_skipped_segments_match_the_oracle(self, q):
         # the oracle's segments with both RMS values nonzero, averaged at order q
@@ -405,23 +421,46 @@ class TestBatchedSegmentStats:
         assert np.array_equal(px, before[0]) and np.array_equal(py, before[1])
 
 
+class TestAggregateQ:
+    def test_overflowed_cell_is_nan_in_a_batch_and_alone(self):
+        rng = np.random.default_rng(9)
+        fx, fy = np.abs(rng.standard_normal((2, 3, 30))) + 0.1
+        cross = rng.standard_normal((3, 30)) * fx * fy
+        fx[1] += 10.0  # F_x^q of row 1 overflows at q = 400
+        qs = (2.0, 400.0, -2.0)
+        batch = aggregate_q(fx, fy, cross, qs)
+        for i in range(3):
+            for k, q in enumerate(qs):
+                alone = aggregate_q(fx[i], fy[i], cross[i], (q,))
+                for b, a in zip(batch, alone):
+                    assert np.array_equal(b[i, k], a[0], equal_nan=True), (i, q)
+                want = (np.nan,) * 3 if (i, k) == (1, 1) else tuple(
+                    v.sum() / 30 for v in (fx[i] ** q, fy[i] ** q,
+                                           np.sign(cross[i]) * np.abs(cross[i]) ** (q / 2)))
+                got = tuple(v[i, k] for v in batch[:3])
+                assert np.array_equal(got, want, equal_nan=True), (i, q)
+                assert batch[3][i, k] == 30
+
+
 @st.composite
 def _stats_and_orders(draw):
     """Per-segment (fx, fy, cross) of a few rows, with zero entries, and
-    finite nonzero orders of both signs."""
+    finite nonzero orders of both signs, some of which overflow a power."""
     shape = (draw(st.integers(1, 4)), draw(st.integers(1, 24)))
 
     def zero_or(lo):
         return draw(hnp.arrays(float, shape, elements=st.one_of(st.just(0.0),
                                                                st.floats(lo, 1e3))))
 
-    qs = draw(st.lists(st.one_of(st.floats(-6.0, -0.1), st.floats(0.1, 6.0)),
+    qs = draw(st.lists(st.one_of(st.floats(-6.0, -0.1), st.floats(0.1, 6.0),
+                                 st.sampled_from([-200.0, 400.0])),
                        min_size=1, max_size=4))
     return zero_or(1e-3), zero_or(1e-3), zero_or(-1e3), qs
 
 
 class TestRhoQGrid:
-    QS = (2.0, 4.0, 3.0, -2.0, -1.0)
+    # -200 and 400 overflow the powers of small and of large RMS values
+    QS = (2.0, 4.0, 3.0, -2.0, -1.0, -200.0, 400.0)
 
     @staticmethod
     def _scalar(fx, fy, cross, q):
@@ -432,21 +471,26 @@ class TestRhoQGrid:
 
     def test_matches_aggregate_q_and_rho_q_dmca(self):
         rng = np.random.default_rng(8)
-        fx, fy = np.abs(rng.standard_normal((2, 6, 40)))
-        cross = rng.standard_normal((6, 40)) * fx * fy
+        fx, fy = np.abs(rng.standard_normal((2, 7, 40)))
+        fx[5] += 10.0  # F_x^q overflows at q = 400
+        fy[6] *= 1e-3  # F_y^q overflows at q = -200
+        cross = rng.standard_normal((7, 40)) * fx * fy
         fx[1, :5] = 0.0  # skipped at q < 0, counted at q > 0
         fy[2, ::3] = 0.0
         fx[3] = 0.0  # degenerate at every order
         fx[4, :20] = 0.0
         fy[4, 20:] = 0.0  # no segment left at q < 0, F_x^q F_y^q > 0 at q > 0
         got = rho_q_grid([(fx, fy, cross)], self.QS)[..., 0]
-        assert got.shape == (6, len(self.QS))
-        for i in range(6):
+        assert got.shape == (7, len(self.QS))
+        for i in range(7):
             for k, q in enumerate(self.QS):
                 want = self._scalar(fx[i], fy[i], cross[i], q)
                 assert np.array_equal(got[i, k], want, equal_nan=True), (i, q)
         assert np.isnan(got[3]).all()
-        assert np.isnan(got[4, 3:]).all() and not np.isnan(got[4, :3]).any()
+        assert np.isnan(got[4, 3:6]).all() and not np.isnan(got[4, [0, 1, 2, 6]]).any()
+        assert np.isnan(got[5]).tolist() == [False] * 6 + [True]
+        # at q = 400 row 6's F_y^q underflows to 0, which rho_q_dmca refuses
+        assert np.isnan(got[6]).tolist() == [False] * 5 + [True, True]
 
     def test_bit_identical_without_skipped_segments(self):
         rng = np.random.default_rng(4)
@@ -470,8 +514,8 @@ class TestRhoQGrid:
                     want = one_row_rho(10, q, fx[i], fy[i], cross[i])[0]
                 except DegenerateFluctuationError:
                     assert np.isnan(got[i, k]), (i, q)
-                else:  # NaN where a zero cross product meets q < 0
-                    assert np.array_equal(got[i, k], want, equal_nan=True), (i, q)
+                else:  # both paths refuse the same cells, so want is a number
+                    assert got[i, k] == want, (i, q)
 
     def test_capped_branch(self):
         # |F_xy^q| > sqrt(F_x^q F_y^q) at q < 0 returns the reciprocal

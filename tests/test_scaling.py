@@ -12,7 +12,7 @@ from fractal_xcorr import (
     fit_power_law,
     log_scales,
 )
-from fractal_xcorr import fluctuation, scaling
+from fractal_xcorr import BenchmarkConfig, benchmark, fluctuation, scaling
 from fractal_xcorr.mc_arfima import McArfimaSpec, generate
 from conftest import gaussian_pair
 
@@ -138,6 +138,15 @@ class TestEstimateHurst:
         with pytest.raises(DegenerateFluctuationError):
             estimate_hurst(TimeSeries(np.full(500, 1.0)), cfg)
 
+    def test_order_q_mean_underflowed_to_zero_is_degenerate(self):
+        # at q = -400 every kept power of these large RMS values underflows,
+        # so F_x^q is a finite 0 whose 1/q-th root 0 ** (1/q) has no value
+        series = TimeSeries(100.0 * np.random.default_rng(1).standard_normal(1000))
+        cfg = DetrendConfig(scale_grid=(10, 20, 40), q=-400.0)
+        assert fluctuation.q_fluctuations(AlignedPair(series, series), cfg)[0].f_x_q == 0.0
+        with pytest.raises(DegenerateFluctuationError, match="^scale 10: degenerate fluctuation$"):
+            estimate_hurst(series, cfg)
+
 
 class TestEstimateHRho:
     def test_identical_pair_zero_exponent(self, pair_1000):
@@ -169,6 +178,22 @@ class TestEstimateHRho:
         cfg = DetrendConfig(scale_grid=(10, 25, 50), q=2.0)
         with pytest.raises(InputError):
             estimate_h_rho(pair_1000, cfg, method="other")
+
+    def test_equals_the_benchmark_estimate(self):
+        # the scalar path and the benchmark's batched one give the same bits
+        fit = log_scales(10, 100)
+        samples = [generate(McArfimaSpec(cross_corr=0.5, length=2000, seed=seed))
+                   for seed in range(5)]
+        px, py = (np.cumsum([getattr(s, leg).values for s in samples], axis=-1)
+                  for leg in ("x", "y"))
+        est = benchmark._estimate_all(px, py, BenchmarkConfig(qs=(2.0, 4.0), replications=10),
+                                      {"DMCA": {100: fit}, "DCCA": {10: fit}})
+        for method, key in (("q-DMCA", ("DMCA", 100)), ("q-DCCA", ("DCCA", 10))):
+            for q in (2.0, 4.0):
+                cfg = DetrendConfig(scale_grid=fit, q=q)
+                for r, sample in enumerate(samples):
+                    h = estimate_h_rho(AlignedPair(sample.x, sample.y), cfg, method).h_rho
+                    assert h == est[(key[0], q, key[1])][r], (method, q, r)
 
     def test_zero_coherency_in_fit_range_raises(self, pair_1000, monkeypatch):
         cfg = DetrendConfig(scale_grid=(10, 25, 50), q=2.0)

@@ -168,6 +168,20 @@ class TestSurrogateTest:
         assert a[0].p_value == b[0].p_value
         assert a[0].observed_rho == pytest.approx(b[0].observed_rho, abs=1e-12)
 
+    @pytest.mark.parametrize("twin", [lambda x: x, lambda x: TimeSeries(x.values.copy())],
+                             ids=["same_object", "copy"])
+    def test_series_against_itself_is_significant_in_every_cell(self, twin):
+        # x and y take their own streams, so the surrogate pairs are
+        # independent and none comes near the observed rho = 1
+        x = arfima_series(3, 600)
+        reports = surrogate_test(AlignedPair(x, twin(x)), DetrendConfig(scale_grid=(10, 20, 40)),
+                                 n_surrogates=100, qs=(2.0, 4.0))
+        assert len(reports) == 6
+        for rep in reports:
+            assert rep.observed_rho == pytest.approx(1.0, abs=1e-12)
+            assert rep.p_value == 1 / 101 and abs(rep.surrogate_mean) < 0.5
+            assert classify(rep) == {2.0: "no hedge", 4.0: "no safe haven"}[rep.q]
+
     def test_p_value_range_and_add_one(self):
         pair = gaussian_pair(1, 600)
         rep = surrogate_test(pair, self.cfg, n_surrogates=100)[0]
