@@ -316,7 +316,7 @@ def cmd_simulate(args, argv) -> int:
 
 def _benchmark_table_rows(reports, method: str, q: float):
     """Wide report layout: N x range-param down the side, (bias, sd, mse)
-    per correlation level across, in the order the reports give them."""
+    per correlation level across; a cell with no estimate has no entries."""
     rows = {}
     for r in reports:
         if r.method == method and r.q == q:
@@ -345,7 +345,8 @@ def cmd_benchmark(args, argv) -> int:
               f"mse={rep.mse:.4f} (n={rep.n_effective})")
 
     reports = run_benchmark(cfg, progress=progress)
-    tables = [(f"benchmark_{method.lower()}_q{q:g}.csv", list(rows[0].keys()), rows)
+    cols = dict.fromkeys(f"{k}_rho{c:g}" for c in cfg.cross_corrs for k in ("bias", "sd", "mse"))
+    tables = [(f"benchmark_{method.lower()}_q{q:g}.csv", ["N", "range_param", *cols], rows)
               for method in ("DCCA", "DMCA") for q in cfg.qs
               if (rows := _benchmark_table_rows(reports, method, q))]
     config = {k: list(v) if isinstance(v, tuple) else v for k, v in vars(cfg).items()}

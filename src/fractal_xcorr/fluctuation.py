@@ -230,11 +230,10 @@ def aggregate_q(fx: np.ndarray, fy: np.ndarray, cross: np.ndarray, qs) -> tuple:
     """(F_x^q, F_y^q, F_xy^q, kept) of every row and order: per-segment
     statistics of shape (..., n_seg) give four arrays of shape (..., len(qs)).
 
-    F_xy^q averages the sign-carrying power sign(cross) |cross|^(q/2).  At
-    q < 0 a segment where either RMS vanishes is skipped: it adds zero to
-    the sums and is left out of kept, the number of segments averaged over.
-    All three means are NaN in a cell with no kept segment or with one of
-    them not finite.  Each row gets the same bits as on its own.
+    F_xy^q averages the sign-carrying power sign(cross) |cross|^(q/2); at
+    q < 0 a segment where either RMS vanishes adds zero and is left out of
+    kept, the segments averaged over.  All three means are NaN where kept is
+    0 or one of them is not finite.  Each row gets the same bits as on its own.
     """
     f_x_q, f_y_q, f_xy_q, kept = out = np.empty((4,) + fx.shape[:-1] + (len(qs),))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

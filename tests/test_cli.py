@@ -231,6 +231,17 @@ class TestBenchmarkCommand:
         assert table[1].startswith("N,range_param,bias_rho0.5")
         assert table[2].startswith("500,20,")
 
+    def test_table_keeps_every_level_where_a_cell_has_no_estimate(self, tmp_path):
+        # at q = -200 every replication of the rho = 0.1 and 0.5 cells of
+        # n_min = 4 is degenerate, so the first row of the table lacks them
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--reps", "10", "--lengths", "64", "--n-min", "4,8",
+                     "--s-max", "16", "--q=-200", "--seed", "0", "--out-dir", str(out)]) == 0
+        table = (out / "benchmark_dcca_q-200.csv").read_text().splitlines()
+        assert table[1] == ",".join(["N", "range_param"] + [
+            f"{k}_rho{c}" for c in ("0.1", "0.5", "0.9") for k in ("bias", "sd", "mse")])
+        assert table[2].startswith("64,4,,,,,,,") and table[3].count(",,") == 0
+
     def test_orders_reported_in_the_order_given(self, tmp_path, capsys):
         argv = ["benchmark", "--reps", "10", "--lengths", "500", "--cross-corrs", "0.5,0.9",
                 "--n-min", "10", "--s-max", "20", "--seed", "0"]
@@ -350,8 +361,8 @@ def test_zero_or_non_finite_order_exit_2(price_files, tmp_path, capsys, command,
                                   ["analyze", "--method", "q-DCCA"], ["portfolio"]],
                          ids=["analyze_dmca", "analyze_dcca", "portfolio"])
 def test_order_q_mean_not_finite_exit_3(tmp_path, capsys, argv):
-    # 600 Student-t returns: their segment RMS values are small enough that
-    # the order -200 powers overflow, where a NaN would reach the JSON
+    # 600 Student-t returns of about 1 %: their segment RMS values are small
+    # enough that the order -200 powers overflow
     rng = np.random.default_rng(26)
     paths = [tmp_path / "x.csv", tmp_path / "y.csv"]
     for path in paths:
