@@ -6,6 +6,8 @@ import csv
 import io
 import itertools
 import math
+import os
+import stat
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -13,6 +15,8 @@ import numpy as np
 from .errors import InputError
 
 MIN_PAIR_LENGTH = 20
+# np.loadtxt opens a path whose name ends in one of these as a compressed file
+COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 @dataclass(frozen=True)
@@ -102,11 +106,14 @@ def _resolve_column(path, header, n_cols, column) -> tuple:
     return header.index(column), column
 
 
-def _parse_lines(path, lines, column):
+def _parse_lines(path, lines, column, reread=False):
     """One vectorised parse of quote-free CSV lines: (values, label).
 
     ``lines`` is an iterator of decoded lines; np.loadtxt reads all but the
     header straight from it, and skips empty lines as the row reader does.
+    With ``reread`` only the header and first data row are taken from
+    ``lines``: np.loadtxt opens ``path`` again and reads the file in chunks,
+    which must then hold exactly what ``lines`` would yield.
     Returns None whenever the result could differ from the row reader's, or
     the row reader would raise: a blank or comma-only first line, a blank
     first data row, too few rows, an unknown column, any unparseable,
@@ -122,8 +129,10 @@ def _parse_lines(path, lines, column):
         if not row.strip():  # np.loadtxt would warn on a file with no data row
             return None
         idx, label = _resolve_column(path, header, row.count(",") + 1, column)
-        values = np.loadtxt(itertools.chain([row], lines), delimiter=",", usecols=idx,
-                            comments=None, ndmin=1)
+        # an absolute path is never taken for a URL
+        source = os.path.abspath(os.fsdecode(path)) if reread else itertools.chain([row], lines)
+        values = np.loadtxt(source, delimiter=",", usecols=idx, comments=None, ndmin=1,
+                            skiprows=int(reread and header is not None), encoding="utf-8")
     except (InputError, ValueError):  # UnicodeDecodeError is a ValueError
         return None
     if len(values) < 2 or not np.isfinite(values).all():
@@ -179,15 +188,20 @@ def load_csv(path, column) -> TimeSeries:
     cells raise an error naming the offending row.
 
     The file is read once, as bytes.  A quote-free file is parsed in one
-    vectorised pass over its lines as they are decoded: all of them when
-    the file holds no '#', else (or when that pass refuses) those that are
-    neither blank nor comments.  A quoted file, and any file that pass
-    refuses, is decoded whole and goes through the row-by-row reader, which
-    gives the same values and names the offending row of a bad file.
+    vectorised pass: when it holds no '#', over all of its lines, else (or
+    when that pass refuses) over those that are neither blank nor comments,
+    decoded as they are read.  A '#'-free regular file whose name does not
+    end in a suffix that np.loadtxt takes for a compressed file (.gz, .bz2,
+    .xz, .lzma) is read by np.loadtxt again, in chunks, from its path; any
+    other file (a pipe, say, which cannot be read twice) goes through its
+    decoded lines.  A quoted file, and any file that pass refuses, is
+    decoded whole and goes through the row-by-row reader, which gives the
+    same values and names the offending row of a bad file.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}") from None
     except OSError as exc:
@@ -195,7 +209,8 @@ def load_csv(path, column) -> TimeSeries:
     parsed = None
     if b'"' not in data:
         if b"#" not in data:
-            parsed = _parse_lines(path, _decoded_lines(data), column)
+            reread = regular and not os.fsdecode(path).endswith(COMPRESSED_SUFFIXES)
+            parsed = _parse_lines(path, _decoded_lines(data), column, reread)
         if parsed is None:
             kept = (ln for ln in _decoded_lines(data) if (s := ln.lstrip()) and s[0] != "#")
             parsed = _parse_lines(path, kept, column)
@@ -235,11 +250,12 @@ def describe(r: TimeSeries) -> DescriptiveStats:
         raise InputError(f"series {r.label!r}: need at least 8 observations, got {v.size}")
     mean = float(v.mean())
     dev = v - mean
-    ss = float(np.sum(dev**2))
+    dev2 = dev * dev  # products, not numpy's element-wise pow
+    ss = float(np.sum(dev2))
     m2 = ss / v.size
     with np.errstate(divide="ignore", invalid="ignore"):  # zero variance: NaN shape
-        skew = float(np.mean(dev**3) / m2**1.5)
-        kurt = float(np.mean(dev**4) / m2**2)
+        skew = float(np.mean(dev2 * dev) / m2**1.5)
+        kurt = float(np.mean(dev2 * dev2) / m2**2)
     jb = v.size * (skew**2 / 6.0 + (kurt - 3.0) ** 2 / 24.0)
     return DescriptiveStats(
         min=float(v.min()),

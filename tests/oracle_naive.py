@@ -1,11 +1,16 @@
-"""Brute-force reference implementations of the moving-average coefficients.
+"""Brute-force reference implementations of the moving-average and
+box-splitting coefficients.
 
-Deliberately written with explicit loops, 1-based index arithmetic and no
-numpy, so it cannot share bugs with the vectorized engine.  Only suitable
-for short series.
+Deliberately written with explicit loops and, for the moving average,
+1-based index arithmetic and no numpy, so it cannot share bugs with the
+vectorized engine; the box-splitting reference fits each box's line with
+numpy's lstsq, not the engine's closed-form slope.  Only suitable for short
+series.
 """
 
 import math
+
+import numpy as np
 
 
 def naive_profile(x):
@@ -87,9 +92,56 @@ def rho_dmca_classic(x, y, s, theta):
     return f_xy / math.sqrt(f_xx * f_yy)
 
 
-def naive_rho(x, y, s, q, theta):
-    f_x, f_y, f_xy, _ = naive_q_fluctuations(x, y, s, q, theta)
+def _capped(f_x, f_y, f_xy):
     rho = f_xy / math.sqrt(f_x * f_y)
     if abs(rho) > 1.0:
         return 1.0 / rho
     return rho
+
+
+def naive_rho(x, y, s, q, theta):
+    f_x, f_y, f_xy, _ = naive_q_fluctuations(x, y, s, q, theta)
+    return _capped(f_x, f_y, f_xy)
+
+
+def naive_dcca_q_fluctuations(x, y, s, q):
+    """(F_x^q, F_y^q, F_xy^q, kept) of the box-splitting method.
+
+    floor(N/s) boxes of s profile points are cut from the start and as many
+    from the end, and the two sets are pooled.  Each box loses the
+    least-squares line through it, fitted with lstsq on the design [1, t];
+    at q < 0 a box where either RMS is zero is skipped, and kept counts the
+    boxes averaged over.
+    """
+    N = len(x)
+    n_box = N // s
+    if n_box < 1:
+        raise ValueError(f"scale {s} exceeds series length {N}")
+    starts = [v * s for v in range(n_box)] + [N - (v + 1) * s for v in range(n_box)]
+    design = np.array([[1.0, float(t)] for t in range(s)])
+
+    def detrended(profile, start):
+        box = np.array(profile[start : start + s])
+        coef = np.linalg.lstsq(design, box, rcond=None)[0]
+        return list(box - design @ coef)
+
+    px, py = naive_profile(x), naive_profile(y)
+    f_x = f_y = f_xy = 0.0
+    kept = 0
+    for start in starts:
+        ex, ey = detrended(px, start), detrended(py, start)
+        f_v_x = math.sqrt(sum(a * a for a in ex) / s)
+        f_v_y = math.sqrt(sum(b * b for b in ey) / s)
+        if q < 0 and (f_v_x == 0.0 or f_v_y == 0.0):
+            continue
+        cross = sum(a * b for a, b in zip(ex, ey)) / s
+        f_x += f_v_x**q
+        f_y += f_v_y**q
+        f_xy += math.copysign(abs(cross) ** (q / 2.0), cross)
+        kept += 1
+    return f_x / kept, f_y / kept, f_xy / kept, kept
+
+
+def naive_dcca_rho(x, y, s, q):
+    f_x, f_y, f_xy, _ = naive_dcca_q_fluctuations(x, y, s, q)
+    return _capped(f_x, f_y, f_xy)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from fractal_xcorr import DetrendConfig, q_fluctuations, rho_q_dmca
+from fractal_xcorr import DetrendConfig, correlation_profile, q_fluctuations, rho_q_dmca
 from conftest import gaussian_pair
-from oracle_naive import naive_q_fluctuations, naive_rho
+from oracle_naive import naive_dcca_rho, naive_q_fluctuations, naive_rho
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -50,6 +50,20 @@ def test_matches_naive_oracle_large_windows():
         assert fs.f_x_q == pytest.approx(f_x, abs=1e-10)
         assert fs.f_y_q == pytest.approx(f_y, abs=1e-10)
         assert fs.f_xy_q == pytest.approx(f_xy, abs=1e-10)
+
+
+@pytest.mark.parametrize("q", [-2.0, 2.0, 4.0])
+@pytest.mark.parametrize("seed,n,scales", [
+    (5, 1500, (10, 16, 25, 37, 100, 128, 300, 375)),  # 16, 37 and 128 do not divide N
+    (6, 1999, (10, 20, 64, 250, 499)),  # N is prime
+])
+def test_dcca_matches_box_oracle(seed, n, scales, q):
+    pair = gaussian_pair(seed, n, corr=-0.4)
+    profile = correlation_profile(pair, DetrendConfig(scale_grid=scales, q=q), "q-DCCA")
+    x = list(pair.x.values)
+    y = list(pair.y.values)
+    for s, rho, _ in profile.points:
+        assert rho == pytest.approx(naive_dcca_rho(x, y, s, q), abs=1e-10)
 
 
 def test_oracle_valid_range_length():

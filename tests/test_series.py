@@ -1,5 +1,9 @@
 import math
+import os
+import threading
 import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -97,6 +101,25 @@ def test_describe_gaussian_accepts_heavy_tail_rejects():
     heavy = describe(TimeSeries(rng.standard_t(df=3, size=5000)))
     assert heavy.jarque_bera_p_value < 1e-6
     assert heavy.kurtosis > gauss.kurtosis
+
+
+def test_describe_shape_moments_match_exact_rational_moments():
+    # Student-t returns whose sample skewness is far enough from zero that
+    # its relative error measures rounding, not cancellation of the sum
+    rng = np.random.default_rng(27)
+    v = 1e-3 * rng.standard_t(df=5, size=5_000)
+    d = describe(TimeSeries(v))
+    exact = [Fraction(float(x)) for x in v]
+    mean = sum(exact) / len(exact)
+    m2, m3, m4 = (sum((x - mean) ** k for x in exact) / len(exact) for k in (2, 3, 4))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        m2_dec, m3_dec = (Decimal(m.numerator) / m.denominator for m in (m2, m3))
+        skew = m3_dec / m2_dec ** Decimal("1.5")
+    kurt = m4 / m2**2
+    assert abs(skew) > 0.05
+    assert abs(Fraction(d.skewness) / Fraction(skew) - 1) < 1e-14
+    assert abs(Fraction(d.kurtosis) / kurt - 1) < 1e-14
 
 
 def test_describe_degenerate_series():
@@ -456,3 +479,73 @@ def test_load_csv_invalid_utf8_names_its_byte(tmp_path, where):
     with pytest.raises(InputError) as info:
         load_csv(p, "close")
     assert str(info.value) == f"{p}: not UTF-8 text (byte {at})"
+
+
+# -- which files np.loadtxt reads again from their path -----------------------
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+@pytest.mark.parametrize("name", ["header", "headerless", "spaces", "non_numeric"])
+def test_load_csv_plain_text_with_a_compressed_suffix(tmp_path, suffix, name):
+    # np.loadtxt would open such a path as a compressed file
+    p = tmp_path / f"{name}.csv{suffix}"
+    p.write_bytes(LOADER_CASES[name].encode())
+    for column in (0, 1, "v", "w"):
+        assert_same_as_reference(p, column)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_load_csv_reads_a_named_pipe_once(tmp_path):
+    text = LOADER_CASES["header"]
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes(text.encode())
+    fifo = tmp_path / "fifo.csv"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "w") as fh:
+            fh.write(text)
+
+    got = []
+    writer = threading.Thread(target=write, daemon=True)
+    reader = threading.Thread(target=lambda: got.append(_outcome(load_csv, fifo, "close")),
+                              daemon=True)
+    writer.start()
+    reader.start()
+    reader.join(timeout=30)
+    if reader.is_alive():  # waiting for a second writer: give it an empty one
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=30)
+        pytest.fail("load_csv opened the named pipe a second time")
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    want = _outcome(reference_load_csv, plain, "close")
+    assert got[0][0] == want[0] == "close"
+    assert np.array_equal(got[0][1], want[1])
+
+
+def test_load_csv_paper_sized_plain_file_reaches_loadtxt_as_its_path(tmp_path, monkeypatch):
+    import fractal_xcorr.series as series
+
+    data, want = _paper_sized_variant("plain")
+    p = tmp_path / "plain.csv"
+    p.write_bytes(data)
+    sources = []
+    loadtxt = np.loadtxt
+
+    def recording_loadtxt(source, *args, **kwargs):
+        sources.append(source)
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(series.np, "loadtxt", recording_loadtxt)
+    got = load_csv(p, "close")
+    assert sources == [str(p)]
+    assert got.values.tobytes() == want.tobytes()
+
+
+def test_load_csv_relative_path_that_parses_as_a_url(tmp_path, monkeypatch):
+    # np.loadtxt would fetch a path string with a scheme and a host as a URL
+    p = tmp_path / "nosuch:" / "host" / "prices.csv"
+    p.parent.mkdir(parents=True)
+    p.write_bytes(LOADER_CASES["header"].encode())
+    monkeypatch.chdir(tmp_path)
+    assert_same_as_reference("nosuch://host/prices.csv", "close")
